@@ -44,6 +44,11 @@ pub mod context;
 pub mod mapping;
 pub mod tum;
 
+// The region search's test-only oracle, shared with manytest-noc's tests.
+#[cfg(test)]
+#[path = "../../noc/src/region_oracle.rs"]
+mod region_oracle;
+
 pub use baseline::ConaMapper;
 pub use firstfit::FirstFitMapper;
 pub use context::MapContext;
