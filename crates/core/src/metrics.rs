@@ -1,154 +1,156 @@
 //! Run-level metrics and the final report.
 
-use manytest_sim::wire::{Wire, WireError, WireReader, WireWriter};
+use manytest_sim::wire::WireError;
 use manytest_sim::{EventLog, OnlineStats, PhaseProfile, StateTimeline, Trace};
 use serde::{Deserialize, Serialize};
 
-/// Everything a finished run reports; the bench harness regenerates the
-/// paper's figures from these fields plus [`Report::trace`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    /// Simulated seconds.
-    pub sim_seconds: f64,
-    /// Applications that arrived.
-    pub apps_arrived: u64,
-    /// Applications admitted and completed.
-    pub apps_completed: u64,
-    /// Applications still pending/running at the end.
-    pub apps_in_flight: u64,
-    /// Applications still waiting in the pending queue at the end
-    /// (a subset of [`Report::apps_in_flight`]).
-    pub apps_pending: u64,
-    /// Applications rejected because they can never fit the mesh.
-    pub apps_rejected: u64,
-    /// Total workload instructions executed.
-    pub instructions_executed: u64,
-    /// Workload throughput, million instructions per second.
-    pub throughput_mips: f64,
-    /// Mean application latency (arrival → completion), seconds.
-    pub mean_app_latency: f64,
-    /// Mean time an admitted app waited in the pending queue, seconds.
-    pub mean_queue_wait: f64,
+manytest_sim::wire_record! {
+    /// Everything a finished run reports; the bench harness regenerates the
+    /// paper's figures from these fields plus [`Report::trace`].
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct Report {
+        /// Simulated seconds.
+        pub sim_seconds: f64,
+        /// Applications that arrived.
+        pub apps_arrived: u64,
+        /// Applications admitted and completed.
+        pub apps_completed: u64,
+        /// Applications still pending/running at the end.
+        pub apps_in_flight: u64,
+        /// Applications still waiting in the pending queue at the end
+        /// (a subset of [`Report::apps_in_flight`]).
+        pub apps_pending: u64,
+        /// Applications rejected because they can never fit the mesh.
+        pub apps_rejected: u64,
+        /// Total workload instructions executed.
+        pub instructions_executed: u64,
+        /// Workload throughput, million instructions per second.
+        pub throughput_mips: f64,
+        /// Mean application latency (arrival → completion), seconds.
+        pub mean_app_latency: f64,
+        /// Mean time an admitted app waited in the pending queue, seconds.
+        pub mean_queue_wait: f64,
 
-    /// Mean chip power over the run, watts.
-    pub mean_power: f64,
-    /// Hottest epoch's mean power, watts.
-    pub peak_power: f64,
-    /// Configured TDP, watts.
-    pub tdp: f64,
-    /// Epochs whose measured power exceeded the TDP (with 1 % tolerance).
-    pub cap_violations: u64,
-    /// Admission-cap moves by the governor (one per control epoch);
-    /// reconciles with `CapAdjusted` telemetry events.
-    pub cap_adjustments: u64,
-    /// Fraction of consumed energy spent on SBST testing.
-    pub test_energy_share: f64,
-    /// Fraction of consumed energy spent on the NoC.
-    pub noc_energy_share: f64,
+        /// Mean chip power over the run, watts.
+        pub mean_power: f64,
+        /// Hottest epoch's mean power, watts.
+        pub peak_power: f64,
+        /// Configured TDP, watts.
+        pub tdp: f64,
+        /// Epochs whose measured power exceeded the TDP (with 1 % tolerance).
+        pub cap_violations: u64,
+        /// Admission-cap moves by the governor (one per control epoch);
+        /// reconciles with `CapAdjusted` telemetry events.
+        pub cap_adjustments: u64,
+        /// Fraction of consumed energy spent on SBST testing.
+        pub test_energy_share: f64,
+        /// Fraction of consumed energy spent on the NoC.
+        pub noc_energy_share: f64,
 
-    /// SBST sessions completed.
-    pub tests_completed: u64,
-    /// SBST sessions aborted by arriving work (non-intrusive preemption).
-    pub tests_aborted: u64,
-    /// SBST sessions still running when the horizon ended.
-    pub tests_in_flight: u64,
-    /// Launches denied because the power headroom was exhausted.
-    pub tests_denied_power: u64,
-    /// Completed full routine-library passes per core, minimum over cores.
-    pub min_tests_per_core: u64,
-    /// Completed routines per core, maximum over cores.
-    pub max_tests_per_core: u64,
-    /// Mean interval between consecutive test completions on the same
-    /// core, seconds (NaN-free: 0 when no core was tested twice).
-    pub mean_test_interval: f64,
-    /// Largest observed same-core test interval, seconds.
-    pub max_test_interval: f64,
-    /// True if every core completed ≥ 1 routine at every DVFS level.
-    pub full_vf_coverage: bool,
-    /// Completed routines per DVFS level (lowest first).
-    pub tests_per_level: Vec<u64>,
-    /// Completed routines per core (dense core index order).
-    pub tests_per_core: Vec<u64>,
-    /// Lifetime damage per core (dense core index order).
-    pub damage_per_core: Vec<f64>,
+        /// SBST sessions completed.
+        pub tests_completed: u64,
+        /// SBST sessions aborted by arriving work (non-intrusive preemption).
+        pub tests_aborted: u64,
+        /// SBST sessions still running when the horizon ended.
+        pub tests_in_flight: u64,
+        /// Launches denied because the power headroom was exhausted.
+        pub tests_denied_power: u64,
+        /// Completed full routine-library passes per core, minimum over cores.
+        pub min_tests_per_core: u64,
+        /// Completed routines per core, maximum over cores.
+        pub max_tests_per_core: u64,
+        /// Mean interval between consecutive test completions on the same
+        /// core, seconds (NaN-free: 0 when no core was tested twice).
+        pub mean_test_interval: f64,
+        /// Largest observed same-core test interval, seconds.
+        pub max_test_interval: f64,
+        /// True if every core completed ≥ 1 routine at every DVFS level.
+        pub full_vf_coverage: bool,
+        /// Completed routines per DVFS level (lowest first).
+        pub tests_per_level: Vec<u64>,
+        /// Completed routines per core (dense core index order).
+        pub tests_per_core: Vec<u64>,
+        /// Lifetime damage per core (dense core index order).
+        pub damage_per_core: Vec<f64>,
 
-    /// Faults injected.
-    pub faults_injected: u64,
-    /// Faults in the `Detected` state at the end of the run.
-    pub faults_detected: u64,
-    /// Detection *occurrences* over the run. A cleared suspect demotes
-    /// its fault back to latent, so a fault can be detected more than
-    /// once; this counter — not [`Report::faults_detected`] — reconciles
-    /// with `FaultDetected` telemetry events.
-    pub fault_detections: u64,
-    /// Fault activation *occurrences* (injected faults becoming latent
-    /// on their core); reconciles with `FaultActivated` events.
-    pub fault_activations: u64,
-    /// Mean fault detection latency, seconds (0 when none detected).
-    pub mean_detection_latency: f64,
+        /// Faults injected.
+        pub faults_injected: u64,
+        /// Faults in the `Detected` state at the end of the run.
+        pub faults_detected: u64,
+        /// Detection *occurrences* over the run. A cleared suspect demotes
+        /// its fault back to latent, so a fault can be detected more than
+        /// once; this counter — not [`Report::faults_detected`] — reconciles
+        /// with `FaultDetected` telemetry events.
+        pub fault_detections: u64,
+        /// Fault activation *occurrences* (injected faults becoming latent
+        /// on their core); reconciles with `FaultActivated` events.
+        pub fault_activations: u64,
+        /// Mean fault detection latency, seconds (0 when none detected).
+        pub mean_detection_latency: f64,
 
-    /// Cores that entered `Suspect` (detections that opened a
-    /// confirmation round).
-    pub cores_suspected: u64,
-    /// Cores confirmed faulty and withdrawn.
-    pub cores_quarantined: u64,
-    /// Suspects cleared back to healthy after K unconfirmed retests.
-    pub cores_cleared: u64,
-    /// Quarantines of cores with no *solid* active fault (intermittent
-    /// symptoms confirmed by chance) — the cost of believing retests.
-    pub false_quarantines: u64,
-    /// Confirmation retest sessions completed.
-    pub confirmation_retests: u64,
-    /// Probe sessions launched by the background re-admission lane;
-    /// reconciles with `CoreProbeLaunched` telemetry events.
-    pub probes_launched: u64,
-    /// Quarantined cores re-admitted to service after a clean probation
-    /// streak; reconciles with `CoreReadmitted` events.
-    pub cores_readmitted: u64,
-    /// Probation rounds that failed and returned the core to quarantine
-    /// with a longer retry backoff; reconciles with `CoreRequarantined`.
-    pub cores_requarantined: u64,
-    /// Configured cap on concurrent probe sessions (the lane budget),
-    /// echoed so the audit can hold `CoreProbeLaunched` events to it.
-    pub probe_budget: u64,
-    /// Cores still healthy when the run ended (probation counts as
-    /// withdrawn: the core is not mappable until `CoreReadmitted`).
-    pub healthy_cores_end: u64,
-    /// Applications killed outright by a quarantine (`Abort` policy).
-    pub apps_aborted: u64,
-    /// Applications re-queued for a fresh placement (`RestartElsewhere`).
-    pub apps_restarted: u64,
-    /// Applications remapped in place (`MigrateRegion`).
-    pub apps_migrated: u64,
-    /// Checkpoint images written by running applications (under
-    /// `MigrateRegion` with a nonzero checkpoint interval); reconciles
-    /// with `AppCheckpointed` telemetry events.
-    pub apps_checkpointed: u64,
-    /// Corruption exposure: core-seconds of application work executed on
-    /// a core while a fault was actively corrupting (from activation
-    /// until the fault cools or the core is withdrawn). The quantity the
-    /// paper's test-frequency tuning implicitly minimises.
-    pub corruption_exposure: f64,
+        /// Cores that entered `Suspect` (detections that opened a
+        /// confirmation round).
+        pub cores_suspected: u64,
+        /// Cores confirmed faulty and withdrawn.
+        pub cores_quarantined: u64,
+        /// Suspects cleared back to healthy after K unconfirmed retests.
+        pub cores_cleared: u64,
+        /// Quarantines of cores with no *solid* active fault (intermittent
+        /// symptoms confirmed by chance) — the cost of believing retests.
+        pub false_quarantines: u64,
+        /// Confirmation retest sessions completed.
+        pub confirmation_retests: u64,
+        /// Probe sessions launched by the background re-admission lane;
+        /// reconciles with `CoreProbeLaunched` telemetry events.
+        pub probes_launched: u64,
+        /// Quarantined cores re-admitted to service after a clean probation
+        /// streak; reconciles with `CoreReadmitted` events.
+        pub cores_readmitted: u64,
+        /// Probation rounds that failed and returned the core to quarantine
+        /// with a longer retry backoff; reconciles with `CoreRequarantined`.
+        pub cores_requarantined: u64,
+        /// Configured cap on concurrent probe sessions (the lane budget),
+        /// echoed so the audit can hold `CoreProbeLaunched` events to it.
+        pub probe_budget: u64,
+        /// Cores still healthy when the run ended (probation counts as
+        /// withdrawn: the core is not mappable until `CoreReadmitted`).
+        pub healthy_cores_end: u64,
+        /// Applications killed outright by a quarantine (`Abort` policy).
+        pub apps_aborted: u64,
+        /// Applications re-queued for a fresh placement (`RestartElsewhere`).
+        pub apps_restarted: u64,
+        /// Applications remapped in place (`MigrateRegion`).
+        pub apps_migrated: u64,
+        /// Checkpoint images written by running applications (under
+        /// `MigrateRegion` with a nonzero checkpoint interval); reconciles
+        /// with `AppCheckpointed` telemetry events.
+        pub apps_checkpointed: u64,
+        /// Corruption exposure: core-seconds of application work executed on
+        /// a core while a fault was actively corrupting (from activation
+        /// until the fault cools or the core is withdrawn). The quantity the
+        /// paper's test-frequency tuning implicitly minimises.
+        pub corruption_exposure: f64,
 
-    /// Mean utilisation over cores at the end of the run.
-    pub mean_utilization: f64,
-    /// Dark-silicon fraction of the node (static, for context).
-    pub dark_fraction: f64,
-    /// Mean weighted hop cost per admitted application.
-    pub mean_hop_cost: f64,
+        /// Mean utilisation over cores at the end of the run.
+        pub mean_utilization: f64,
+        /// Dark-silicon fraction of the node (static, for context).
+        pub dark_fraction: f64,
+        /// Mean weighted hop cost per admitted application.
+        pub mean_hop_cost: f64,
 
-    /// Deterministic self-profile of the control loop: per-phase event
-    /// counters and scratch-buffer high-water marks (never wall-clock).
-    pub profile: PhaseProfile,
-    /// Flight-recorder timeline of per-epoch state snapshots. Empty
-    /// unless the run opted in via `SystemBuilder::record_state`.
-    pub state: StateTimeline,
-    /// Epoch-resolution time series (power, cap, tests in flight, …).
-    pub trace: Trace,
-    /// Structured decision telemetry captured during the run. Empty
-    /// unless the run opted in via `SystemBuilder::capture_events`; the
-    /// per-kind counts are exact even if the sample buffer saturated.
-    pub events: EventLog,
+        /// Deterministic self-profile of the control loop: per-phase event
+        /// counters and scratch-buffer high-water marks (never wall-clock).
+        pub profile: PhaseProfile,
+        /// Flight-recorder timeline of per-epoch state snapshots. Empty
+        /// unless the run opted in via `SystemBuilder::record_state`.
+        pub state: StateTimeline,
+        /// Epoch-resolution time series (power, cap, tests in flight, …).
+        pub trace: Trace,
+        /// Structured decision telemetry captured during the run. Empty
+        /// unless the run opted in via `SystemBuilder::capture_events`; the
+        /// per-kind counts are exact even if the sample buffer saturated.
+        pub events: EventLog,
+    }
 }
 
 impl Report {
@@ -232,189 +234,6 @@ impl Report {
             self.max_test_interval * 1e3,
             if self.full_vf_coverage { "full" } else { "partial" },
         )
-    }
-}
-
-impl Wire for Report {
-    fn encode(&self, w: &mut WireWriter) {
-        // Exhaustive destructuring: adding a Report field without
-        // extending the codec is a compile error, which is what keeps
-        // ledger cache replays byte-identical to cold runs.
-        let Report {
-            sim_seconds,
-            apps_arrived,
-            apps_completed,
-            apps_in_flight,
-            apps_pending,
-            apps_rejected,
-            instructions_executed,
-            throughput_mips,
-            mean_app_latency,
-            mean_queue_wait,
-            mean_power,
-            peak_power,
-            tdp,
-            cap_violations,
-            cap_adjustments,
-            test_energy_share,
-            noc_energy_share,
-            tests_completed,
-            tests_aborted,
-            tests_in_flight,
-            tests_denied_power,
-            min_tests_per_core,
-            max_tests_per_core,
-            mean_test_interval,
-            max_test_interval,
-            full_vf_coverage,
-            tests_per_level,
-            tests_per_core,
-            damage_per_core,
-            faults_injected,
-            faults_detected,
-            fault_detections,
-            fault_activations,
-            mean_detection_latency,
-            cores_suspected,
-            cores_quarantined,
-            cores_cleared,
-            false_quarantines,
-            confirmation_retests,
-            probes_launched,
-            cores_readmitted,
-            cores_requarantined,
-            probe_budget,
-            healthy_cores_end,
-            apps_aborted,
-            apps_restarted,
-            apps_migrated,
-            apps_checkpointed,
-            corruption_exposure,
-            mean_utilization,
-            dark_fraction,
-            mean_hop_cost,
-            profile,
-            state,
-            trace,
-            events,
-        } = self;
-        w.f64(*sim_seconds);
-        w.u64(*apps_arrived);
-        w.u64(*apps_completed);
-        w.u64(*apps_in_flight);
-        w.u64(*apps_pending);
-        w.u64(*apps_rejected);
-        w.u64(*instructions_executed);
-        w.f64(*throughput_mips);
-        w.f64(*mean_app_latency);
-        w.f64(*mean_queue_wait);
-        w.f64(*mean_power);
-        w.f64(*peak_power);
-        w.f64(*tdp);
-        w.u64(*cap_violations);
-        w.u64(*cap_adjustments);
-        w.f64(*test_energy_share);
-        w.f64(*noc_energy_share);
-        w.u64(*tests_completed);
-        w.u64(*tests_aborted);
-        w.u64(*tests_in_flight);
-        w.u64(*tests_denied_power);
-        w.u64(*min_tests_per_core);
-        w.u64(*max_tests_per_core);
-        w.f64(*mean_test_interval);
-        w.f64(*max_test_interval);
-        w.bool(*full_vf_coverage);
-        tests_per_level.encode(w);
-        tests_per_core.encode(w);
-        damage_per_core.encode(w);
-        w.u64(*faults_injected);
-        w.u64(*faults_detected);
-        w.u64(*fault_detections);
-        w.u64(*fault_activations);
-        w.f64(*mean_detection_latency);
-        w.u64(*cores_suspected);
-        w.u64(*cores_quarantined);
-        w.u64(*cores_cleared);
-        w.u64(*false_quarantines);
-        w.u64(*confirmation_retests);
-        w.u64(*probes_launched);
-        w.u64(*cores_readmitted);
-        w.u64(*cores_requarantined);
-        w.u64(*probe_budget);
-        w.u64(*healthy_cores_end);
-        w.u64(*apps_aborted);
-        w.u64(*apps_restarted);
-        w.u64(*apps_migrated);
-        w.u64(*apps_checkpointed);
-        w.f64(*corruption_exposure);
-        w.f64(*mean_utilization);
-        w.f64(*dark_fraction);
-        w.f64(*mean_hop_cost);
-        profile.encode(w);
-        state.encode(w);
-        trace.encode(w);
-        events.encode(w);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Report {
-            sim_seconds: r.f64()?,
-            apps_arrived: r.u64()?,
-            apps_completed: r.u64()?,
-            apps_in_flight: r.u64()?,
-            apps_pending: r.u64()?,
-            apps_rejected: r.u64()?,
-            instructions_executed: r.u64()?,
-            throughput_mips: r.f64()?,
-            mean_app_latency: r.f64()?,
-            mean_queue_wait: r.f64()?,
-            mean_power: r.f64()?,
-            peak_power: r.f64()?,
-            tdp: r.f64()?,
-            cap_violations: r.u64()?,
-            cap_adjustments: r.u64()?,
-            test_energy_share: r.f64()?,
-            noc_energy_share: r.f64()?,
-            tests_completed: r.u64()?,
-            tests_aborted: r.u64()?,
-            tests_in_flight: r.u64()?,
-            tests_denied_power: r.u64()?,
-            min_tests_per_core: r.u64()?,
-            max_tests_per_core: r.u64()?,
-            mean_test_interval: r.f64()?,
-            max_test_interval: r.f64()?,
-            full_vf_coverage: r.bool()?,
-            tests_per_level: Vec::<u64>::decode(r)?,
-            tests_per_core: Vec::<u64>::decode(r)?,
-            damage_per_core: Vec::<f64>::decode(r)?,
-            faults_injected: r.u64()?,
-            faults_detected: r.u64()?,
-            fault_detections: r.u64()?,
-            fault_activations: r.u64()?,
-            mean_detection_latency: r.f64()?,
-            cores_suspected: r.u64()?,
-            cores_quarantined: r.u64()?,
-            cores_cleared: r.u64()?,
-            false_quarantines: r.u64()?,
-            confirmation_retests: r.u64()?,
-            probes_launched: r.u64()?,
-            cores_readmitted: r.u64()?,
-            cores_requarantined: r.u64()?,
-            probe_budget: r.u64()?,
-            healthy_cores_end: r.u64()?,
-            apps_aborted: r.u64()?,
-            apps_restarted: r.u64()?,
-            apps_migrated: r.u64()?,
-            apps_checkpointed: r.u64()?,
-            corruption_exposure: r.f64()?,
-            mean_utilization: r.f64()?,
-            dark_fraction: r.f64()?,
-            mean_hop_cost: r.f64()?,
-            profile: PhaseProfile::decode(r)?,
-            state: StateTimeline::decode(r)?,
-            trace: Trace::decode(r)?,
-            events: EventLog::decode(r)?,
-        })
     }
 }
 

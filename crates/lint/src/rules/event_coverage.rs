@@ -12,12 +12,14 @@
 //! lint, not just the runtime tests.
 //!
 //! The cause-link half reads `CauseKind::expected` in the obs file:
-//! every variant not named in `ROOT_KINDS` must appear as a *target*
-//! (the second `&[…]` group of an arm) somewhere in that table,
-//! otherwise the runtime validator would reject every emission of the
-//! kind — the lint fails closed at review time instead of at run time.
-//! Synthetic test workspaces whose obs file has no `fn expected` opt
-//! out of this half.
+//! every variant without a `#[root = "…"]` marker in the `SimEvent`
+//! declaration must appear as a *target* (the second `&[…]` group of an
+//! arm) somewhere in that table, otherwise the runtime validator would
+//! reject every emission of the kind — the lint fails closed at review
+//! time instead of at run time. The marker is the declaration the
+//! generated `ROOT_KINDS` and `cause_required` come from, so the lint
+//! and the runtime read the same root set. Synthetic test workspaces
+//! whose obs file has no `fn expected` opt out of this half.
 //!
 //! The provenance half guards `crates/core/src/system.rs`:
 //!
@@ -43,6 +45,8 @@ const OBS_FILE: &str = "crates/sim/src/obs.rs";
 const AUDIT_FILE: &str = "crates/core/src/audit.rs";
 /// The enum under the coverage contract.
 const ENUM_NAME: &str = "SimEvent";
+/// The attribute that marks a `SimEvent` variant as a provenance root.
+const ROOT_MARKER: &str = "root";
 /// The control loop whose emission sites are under the provenance
 /// contract.
 const SYSTEM_FILE: &str = "crates/core/src/system.rs";
@@ -66,10 +70,11 @@ impl Rule for EventEmissionCoverage {
         let Some(obs) = ws.file(OBS_FILE) else {
             return; // nothing to cover (synthetic workspaces opt in)
         };
-        let variants = enum_variants(obs, ENUM_NAME);
-        if variants.is_empty() {
+        let marked = marked_enum_variants(obs, ENUM_NAME, ROOT_MARKER);
+        if marked.is_empty() {
             return;
         }
+        let variants: Vec<&Token> = marked.iter().map(|(v, _)| v).collect();
         // Constructions anywhere outside obs.rs and audit.rs, in
         // non-test code: `SimEvent` `::` `<Variant>`.
         let mut constructed: Vec<String> = Vec::new();
@@ -93,7 +98,7 @@ impl Rule for EventEmissionCoverage {
                 }
             }
         }
-        for v in &variants {
+        for v in variants {
             if !constructed.iter().any(|c| *c == v.text) {
                 out.push(Finding {
                     rule: self.id(),
@@ -127,11 +132,8 @@ impl Rule for EventEmissionCoverage {
         // `CauseKind::expected` target lists can never carry a typed
         // cause, so `validate_events` would reject every emission.
         if let Some(targets) = cause_link_targets(obs) {
-            let roots = root_kind_strings(obs);
-            for v in &variants {
-                if roots.iter().any(|r| r == &v.text)
-                    || targets.iter().any(|t| t == &v.text)
-                {
+            for (v, is_root) in &marked {
+                if *is_root || targets.iter().any(|t| t == &v.text) {
                     continue;
                 }
                 out.push(Finding {
@@ -144,8 +146,8 @@ impl Rule for EventEmissionCoverage {
                         v.text
                     ),
                     rationale: "non-root events must be reachable through a typed cause \
-                                edge; add a CauseKind arm targeting this kind or list it \
-                                in ROOT_KINDS",
+                                edge; add a CauseKind arm targeting this kind or mark the \
+                                variant #[root = \"why\"]",
                 });
             }
         }
@@ -250,29 +252,6 @@ fn cause_link_targets(file: &SourceFile) -> Option<Vec<String>> {
     Some(targets)
 }
 
-/// String literals of the `ROOT_KINDS` const initializer (empty when
-/// the const is absent — then every variant needs a table entry).
-fn root_kind_strings(file: &SourceFile) -> Vec<String> {
-    let code: Vec<&Token> = file.code_tokens().collect();
-    let mut i = 0;
-    while i < code.len() && !code[i].is_ident("ROOT_KINDS") {
-        i += 1;
-    }
-    // Step over the type annotation (`[&'static str; N]` contains a
-    // `;`) to the initializer.
-    while i < code.len() && !code[i].is_punct('=') {
-        i += 1;
-    }
-    let mut out = Vec::new();
-    while i < code.len() && !code[i].is_punct(';') {
-        if code[i].kind == TokenKind::Str {
-            out.push(code[i].text.clone());
-        }
-        i += 1;
-    }
-    out
-}
-
 /// Collects `SimEvent::<Variant>` path references in `file`, skipping
 /// test lines when `skip_test_lines` is set.
 fn collect_variant_refs(
@@ -294,11 +273,21 @@ fn collect_variant_refs(
 }
 
 /// Extracts the variant-name tokens of `enum <name> { … }` from a file.
+pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
+    marked_enum_variants(file, name, "")
+        .into_iter()
+        .map(|(v, _)| v)
+        .collect()
+}
+
+/// Extracts the variant-name tokens of `enum <name> { … }` from a file,
+/// each paired with whether a `#[<marker> …]` attribute precedes it.
 ///
 /// Token-level walk: find `enum <name>`, then collect the identifier
 /// that opens each variant at brace depth 1 (doc comments are skipped by
-/// tokenization; attributes and field blocks are stepped over).
-pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
+/// tokenization; attributes and field blocks are stepped over). The walk
+/// reads the item inside a declaration-macro invocation just as well.
+pub fn marked_enum_variants(file: &SourceFile, name: &str, marker: &str) -> Vec<(Token, bool)> {
     let code: Vec<&Token> = file.code_tokens().collect();
     let mut variants = Vec::new();
     let mut i = 0;
@@ -322,6 +311,7 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
     i += 1; // into the enum body
     let mut depth = 1i32;
     let mut awaiting_variant = true;
+    let mut marked = false;
     while i < code.len() && depth > 0 {
         let t = code[i];
         match () {
@@ -334,7 +324,8 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
                 i += 1;
             }
             _ if depth == 1 && t.is_punct('#') => {
-                // Skip a `#[…]` attribute group.
+                // Skip a `#[…]` attribute group, noting the marker.
+                marked |= code.get(i + 2).is_some_and(|a| a.is_ident(marker));
                 i += 1;
                 let mut attr_depth = 0i32;
                 while i < code.len() {
@@ -355,8 +346,9 @@ pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
                 i += 1;
             }
             _ if depth == 1 && awaiting_variant && t.kind == TokenKind::Ident => {
-                variants.push((*t).clone());
+                variants.push(((*t).clone(), marked));
                 awaiting_variant = false;
+                marked = false;
                 i += 1;
             }
             _ => i += 1,

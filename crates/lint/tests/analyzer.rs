@@ -266,13 +266,20 @@ fn deleting_an_audit_arm_fails_the_lint() {
         .any(|f| f.rule == "event-emission-coverage" && f.message.contains("Beta")));
 }
 
-/// Like `synthetic_events_workspace`, but the obs file also carries a
-/// `ROOT_KINDS` const and a `CauseKind::expected` table, opting the
-/// workspace into the cause-link half of the rule.
+/// Like `synthetic_events_workspace`, but Alpha carries the
+/// `#[root = "…"]` declaration marker and the obs file has a
+/// `CauseKind::expected` table, opting the workspace into the
+/// cause-link half of the rule.
 fn cause_table_workspace(expected_body: &str) -> Workspace {
+    marked_cause_table_workspace("#[root = \"external input\"] Alpha", "", expected_body)
+}
+
+/// The cause-table workspace with the `SimEvent` variant list's Alpha
+/// entry spelled as given (with or without a root marker) and `extra`
+/// appended to the obs file.
+fn marked_cause_table_workspace(alpha: &str, extra: &str, expected_body: &str) -> Workspace {
     let obs_src = format!(
-        "pub enum SimEvent {{ Alpha, Beta {{ x: u32 }}, Gamma }}\n\
-         impl SimEvent {{ pub const ROOT_KINDS: [&'static str; 1] = [\"Alpha\"]; }}\n\
+        "event_enum! {{ pub enum SimEvent {{ /// First.\n {alpha}, Beta {{ x: u32 }}, Gamma }} }}\n{extra}\
          impl CauseKind {{\n    pub fn expected(self) -> (&'static [&'static str], &'static [&'static str]) {{\n        match self {{\n{expected_body}        }}\n    }}\n}}\n",
     );
     let obs = SourceFile::from_source("crates/sim/src/obs.rs", &obs_src);
@@ -319,6 +326,48 @@ fn cause_table_covering_every_non_root_variant_is_clean() {
             .all(|f| f.rule != "event-emission-coverage"),
         "{}",
         render_human(&report.findings, 5)
+    );
+}
+
+#[test]
+fn non_root_variant_without_a_cause_target_is_flagged_even_with_other_roots() {
+    // Alpha is marked root and Beta is a target; Gamma has neither a
+    // marker nor a target, so it is flagged even though the table is
+    // otherwise complete.
+    let ws = cause_table_workspace("            CauseKind::A => (&[\"Alpha\"], &[\"Beta\"]),\n");
+    let flagged: Vec<String> = run(&ws)
+        .findings
+        .iter()
+        .filter(|f| f.rule == "event-emission-coverage" && f.message.contains("cause-link table"))
+        .map(|f| f.message.clone())
+        .collect();
+    assert_eq!(flagged.len(), 1, "{flagged:?}");
+    assert!(flagged[0].contains("Gamma"), "{flagged:?}");
+}
+
+#[test]
+fn root_status_comes_from_the_declaration_marker_only() {
+    // Without its marker Alpha is an ordinary non-root kind with no
+    // cause target — a stale ROOT_KINDS-style string list elsewhere in
+    // the file does not exempt it.
+    let body = "            CauseKind::A => (&[\"Alpha\"], &[\"Beta\", \"Gamma\"]),\n";
+    let stale = "impl SimEvent { pub const ROOT_KINDS: [&'static str; 1] = [\"Alpha\"]; }\n";
+    let report = run(&marked_cause_table_workspace("Alpha", stale, body));
+    assert!(
+        report.findings.iter().any(|f| {
+            f.rule == "event-emission-coverage"
+                && f.message.contains("Alpha")
+                && f.message.contains("cause-link table")
+        }),
+        "{}",
+        render_human(&report.findings, 5)
+    );
+    // The marker alone makes it a root.
+    let marked = marked_cause_table_workspace("#[root = \"external input\"] Alpha", "", body);
+    assert!(
+        run(&marked).findings.iter().all(|f| f.rule != "event-emission-coverage"),
+        "{}",
+        render_human(&run(&marked).findings, 5)
     );
 }
 

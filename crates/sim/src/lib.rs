@@ -25,6 +25,11 @@
 //! * [`provenance`] — causal-chain reconstruction over the record
 //!   stream: walk any event back to its root or forward to everything
 //!   it caused, with per-chain aggregates ([`ProvenanceGraph`]).
+//! * [`wire`] — the byte-exact `manytest-wire` codec. Its record,
+//!   indexed-enum and event-table codecs are generated by the
+//!   [`wire_record!`], [`indexed_enum!`] and [`event_enum!`]
+//!   declaration macros, so each type's field or variant list is
+//!   written once.
 //!
 //! # Examples
 //!
@@ -41,6 +46,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[macro_use]
+mod decl;
 pub mod engine;
 pub mod obs;
 pub mod provenance;

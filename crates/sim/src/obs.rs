@@ -28,320 +28,271 @@ use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Why an SBST session was torn down before completing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AbortReason {
-    /// The mapper claimed the core for an arriving application.
-    MappedOver,
-    /// A task of the core's owning application became ready mid-session.
-    TaskPreempted,
-}
-
-impl AbortReason {
-    /// Stable lower-snake name used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AbortReason::MappedOver => "mapped_over",
-            AbortReason::TaskPreempted => "task_preempted",
-        }
+indexed_enum! {
+    /// Why an SBST session was torn down before completing.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum AbortReason {
+        /// The mapper claimed the core for an arriving application.
+        MappedOver = "mapped_over",
+        /// A task of the core's owning application became ready mid-session.
+        TaskPreempted = "task_preempted",
     }
 }
 
-/// One structured decision made by the epoch control loop or resolved in
-/// the event plane. Stack-only (`Copy`): constructing and emitting an
-/// event allocates nothing.
-///
-/// Times are *not* part of the payload — every observer hook receives the
-/// event's timestamp separately, so sinks that do not need it pay nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SimEvent {
-    /// An application entered the pending queue.
-    AppArrived {
-        /// Application id.
-        app: u64,
-        /// Task count of its graph.
-        tasks: u32,
-    },
-    /// An application can never fit the platform and was dropped.
-    AppRejected {
-        /// Application id.
-        app: u64,
-        /// Task count of its graph.
-        tasks: u32,
-    },
-    /// An application was admitted and placed.
-    AppMapped {
-        /// Application id.
-        app: u64,
-        /// Task count of its graph.
-        tasks: u32,
-        /// Dense node index of task 0's core.
-        first_node: u32,
-        /// Bounding-box width of the mapping, in mesh columns.
-        region_w: u16,
-        /// Bounding-box height of the mapping, in mesh rows.
-        region_h: u16,
-        /// DVFS level the app was admitted at.
-        level: u8,
-        /// Communication-weighted hop cost of the placement.
-        hop_cost: f64,
-        /// Seconds the app waited in the pending queue.
-        queue_wait: f64,
-        /// Power headroom left *after* the app's reservation, watts.
-        headroom: f64,
-    },
-    /// An admitted application finished its last task.
-    AppCompleted {
-        /// Application id.
-        app: u64,
-        /// Arrival-to-completion latency, seconds.
-        latency: f64,
-    },
-    /// An SBST session started.
-    TestLaunched {
-        /// Core under test.
-        core: u32,
-        /// Routine id.
-        routine: u16,
-        /// DVFS level tested at.
-        level: u8,
-        /// Reserved session power, watts.
-        power: f64,
-        /// Headroom left after the reservation, watts.
-        headroom: f64,
-    },
-    /// The scheduler wanted to test a core but the headroom was exhausted.
-    TestDeniedPower {
-        /// Core that was denied.
-        core: u32,
-        /// Watts the session would have needed.
-        needed: f64,
-        /// Watts that were actually left at the denial.
-        headroom: f64,
-    },
-    /// A session was torn down before completing.
-    TestAborted {
-        /// Core whose session died.
-        core: u32,
-        /// What displaced it.
-        reason: AbortReason,
-    },
-    /// A session ran to completion.
-    TestCompleted {
-        /// Core that was tested.
-        core: u32,
-        /// Routine that completed.
-        routine: u16,
-        /// DVFS level tested at.
-        level: u8,
-        /// DVFS levels on this core with ≥ 1 completed test afterwards.
-        covered_levels: u8,
-        /// Seconds since this core's previous completion (< 0 = first).
-        interval: f64,
-    },
-    /// The governor moved the admission cap.
-    CapAdjusted {
-        /// New cap, watts.
-        cap: f64,
-        /// Last epoch's measured power, watts.
-        measured: f64,
-        /// Headroom under the new cap, watts.
-        headroom: f64,
-        /// Live power reservations at that instant.
-        reservations: u32,
-    },
-    /// A core's operating level changed (−1 = power-gated).
-    DvfsTransition {
-        /// The core.
-        core: u32,
-        /// Previous ladder index, −1 when the core was off.
-        from: i16,
-        /// New ladder index, −1 when the core turns off.
-        to: i16,
-    },
-    /// An injected fault became present (latent) on a core.
-    FaultActivated {
-        /// The faulty core.
-        core: u32,
-    },
-    /// A completed test routine caught a latent fault.
-    FaultDetected {
-        /// The faulty core.
-        core: u32,
-        /// Injection-to-detection latency, seconds.
-        latency: f64,
-    },
-    /// A detection moved a core into the `Suspect` health state; K
-    /// confirmation retests were queued at the detecting V/f level.
-    CoreSuspected {
-        /// The suspect core.
-        core: u32,
-        /// DVFS ladder index the detection happened at.
-        level: u8,
-    },
-    /// Confirmation retests upheld the detection: the core is withdrawn
-    /// from mapping and power-gated for the rest of the run.
-    CoreQuarantined {
-        /// The quarantined core.
-        core: u32,
-        /// Confirmation retests that completed before the verdict.
-        retests: u32,
-    },
-    /// Confirmation retests failed to reproduce the detection; the core
-    /// returns to `Healthy`.
-    CoreCleared {
-        /// The cleared core.
-        core: u32,
-        /// Confirmation retests that completed before the verdict.
-        retests: u32,
-    },
-    /// A quarantine killed an application outright (`Abort` policy).
-    AppAborted {
-        /// Application id.
-        app: u64,
-        /// The quarantined core that carried it.
-        core: u32,
-    },
-    /// A quarantine sent an application back to the pending queue for a
-    /// fresh placement (`RestartElsewhere` policy).
-    AppRestarted {
-        /// Application id.
-        app: u64,
-        /// The quarantined core that carried it.
-        core: u32,
-    },
-    /// A quarantine remapped an application in place onto healthy nodes
-    /// (`MigrateRegion` policy).
-    AppMigrated {
-        /// Application id.
-        app: u64,
-        /// The quarantined core it was moved off.
-        core: u32,
-        /// Tasks whose placement changed.
-        moved_tasks: u32,
-        /// State-transfer delay charged to the app, seconds.
-        delay: f64,
-    },
-    /// The background re-admission lane launched a low-V/f probe routine
-    /// on a withdrawn core (probation).
-    CoreProbeLaunched {
-        /// The core under probation.
-        core: u32,
-        /// Clean probes already banked this probation round.
-        streak: u32,
-        /// Probe sessions in flight after this launch (≤ lane budget).
-        inflight: u32,
-    },
-    /// Probation succeeded: the core's refire streak cooled and it
-    /// rejoins the mappable pool.
-    CoreReadmitted {
-        /// The re-admitted core.
-        core: u32,
-        /// Clean probes that earned the re-admission.
-        probes: u32,
-    },
-    /// A probation probe reproduced the fault: the core returns to
-    /// quarantine and the retry cadence backs off exponentially.
-    CoreRequarantined {
-        /// The re-quarantined core.
-        core: u32,
-        /// Failed probation rounds so far (backoff exponent).
-        backoff: u32,
-    },
-    /// A periodic checkpoint captured an application's task state,
-    /// resetting the dirty span a later migration must transfer.
-    AppCheckpointed {
-        /// Application id.
-        app: u64,
-        /// Tasks whose state was captured.
-        tasks: u32,
-        /// Checkpoint image size, bytes.
-        bytes: u64,
-    },
+/// How a [`SimEvent`] payload field renders as a JSON value: numbers
+/// through `Display` (Rust's shortest round-trip form for floats),
+/// [`indexed_enum!`](crate::indexed_enum) names quoted.
+pub trait JsonValue {
+    /// Writes the value's JSON text.
+    fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result;
+}
+
+macro_rules! json_number {
+    ($($t:ty),*) => {$(
+        impl JsonValue for $t {
+            fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                std::fmt::Display::fmt(self, f)
+            }
+        }
+    )*};
+}
+json_number!(u64, u32, u16, u8, i16, f64);
+
+/// `Display` adapter that renders a [`JsonValue`].
+#[derive(Debug, Clone, Copy)]
+pub struct Json<'a, T: ?Sized>(pub &'a T);
+
+impl<T: JsonValue + ?Sized> std::fmt::Display for Json<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt_json(f)
+    }
+}
+
+event_enum! {
+    /// One structured decision made by the epoch control loop or resolved in
+    /// the event plane. Stack-only (`Copy`): constructing and emitting an
+    /// event allocates nothing.
+    ///
+    /// Times are *not* part of the payload — every observer hook receives the
+    /// event's timestamp separately, so sinks that do not need it pay nothing.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub enum SimEvent {
+        /// An application entered the pending queue.
+        #[root = "arrivals are exogenous workload-process draws"]
+        AppArrived {
+            /// Application id.
+            app: u64,
+            /// Task count of its graph.
+            tasks: u32,
+        },
+        /// An application can never fit the platform and was dropped.
+        AppRejected {
+            /// Application id.
+            app: u64,
+            /// Task count of its graph.
+            tasks: u32,
+        },
+        /// An application was admitted and placed.
+        AppMapped {
+            /// Application id.
+            app: u64,
+            /// Task count of its graph.
+            tasks: u32,
+            /// Dense node index of task 0's core.
+            first_node: u32,
+            /// Bounding-box width of the mapping, in mesh columns.
+            region_w: u16,
+            /// Bounding-box height of the mapping, in mesh rows.
+            region_h: u16,
+            /// DVFS level the app was admitted at.
+            level: u8,
+            /// Communication-weighted hop cost of the placement.
+            hop_cost: f64,
+            /// Seconds the app waited in the pending queue.
+            queue_wait: f64,
+            /// Power headroom left *after* the app's reservation, watts.
+            headroom: f64,
+        },
+        /// An admitted application finished its last task.
+        AppCompleted {
+            /// Application id.
+            app: u64,
+            /// Arrival-to-completion latency, seconds.
+            latency: f64,
+        },
+        /// An SBST session started.
+        #[root = "ranked-lane launches are roots; retest-lane launches carry a RetestLane cause"]
+        TestLaunched {
+            /// Core under test.
+            core: u32,
+            /// Routine id.
+            routine: u16,
+            /// DVFS level tested at.
+            level: u8,
+            /// Reserved session power, watts.
+            power: f64,
+            /// Headroom left after the reservation, watts.
+            headroom: f64,
+        },
+        /// The scheduler wanted to test a core but the headroom was exhausted.
+        TestDeniedPower {
+            /// Core that was denied.
+            core: u32,
+            /// Watts the session would have needed.
+            needed: f64,
+            /// Watts that were actually left at the denial.
+            headroom: f64,
+        },
+        /// A session was torn down before completing.
+        TestAborted {
+            /// Core whose session died.
+            core: u32,
+            /// What displaced it.
+            reason: AbortReason,
+        },
+        /// A session ran to completion.
+        TestCompleted {
+            /// Core that was tested.
+            core: u32,
+            /// Routine that completed.
+            routine: u16,
+            /// DVFS level tested at.
+            level: u8,
+            /// DVFS levels on this core with ≥ 1 completed test afterwards.
+            covered_levels: u8,
+            /// Seconds since this core's previous completion (< 0 = first).
+            interval: f64,
+        },
+        /// The governor moved the admission cap.
+        #[root = "the PID cap move starts each epoch's causal chains"]
+        CapAdjusted {
+            /// New cap, watts.
+            cap: f64,
+            /// Last epoch's measured power, watts.
+            measured: f64,
+            /// Headroom under the new cap, watts.
+            headroom: f64,
+            /// Live power reservations at that instant.
+            reservations: u32,
+        },
+        /// A core's operating level changed (−1 = power-gated).
+        #[root = "V/f moves follow every mode change; no single upstream decision owns one"]
+        DvfsTransition {
+            /// The core.
+            core: u32,
+            /// Previous ladder index, −1 when the core was off.
+            from: i16,
+            /// New ladder index, −1 when the core turns off.
+            to: i16,
+        },
+        /// An injected fault became present (latent) on a core.
+        #[root = "fault injection is exogenous"]
+        FaultActivated {
+            /// The faulty core.
+            core: u32,
+        },
+        /// A completed test routine caught a latent fault.
+        FaultDetected {
+            /// The faulty core.
+            core: u32,
+            /// Injection-to-detection latency, seconds.
+            latency: f64,
+        },
+        /// A detection moved a core into the `Suspect` health state; K
+        /// confirmation retests were queued at the detecting V/f level.
+        CoreSuspected {
+            /// The suspect core.
+            core: u32,
+            /// DVFS ladder index the detection happened at.
+            level: u8,
+        },
+        /// Confirmation retests upheld the detection: the core is withdrawn
+        /// from mapping and power-gated for the rest of the run.
+        CoreQuarantined {
+            /// The quarantined core.
+            core: u32,
+            /// Confirmation retests that completed before the verdict.
+            retests: u32,
+        },
+        /// Confirmation retests failed to reproduce the detection; the core
+        /// returns to `Healthy`.
+        CoreCleared {
+            /// The cleared core.
+            core: u32,
+            /// Confirmation retests that completed before the verdict.
+            retests: u32,
+        },
+        /// A quarantine killed an application outright (`Abort` policy).
+        AppAborted {
+            /// Application id.
+            app: u64,
+            /// The quarantined core that carried it.
+            core: u32,
+        },
+        /// A quarantine sent an application back to the pending queue for a
+        /// fresh placement (`RestartElsewhere` policy).
+        AppRestarted {
+            /// Application id.
+            app: u64,
+            /// The quarantined core that carried it.
+            core: u32,
+        },
+        /// A quarantine remapped an application in place onto healthy nodes
+        /// (`MigrateRegion` policy).
+        AppMigrated {
+            /// Application id.
+            app: u64,
+            /// The quarantined core it was moved off.
+            core: u32,
+            /// Tasks whose placement changed.
+            moved_tasks: u32,
+            /// State-transfer delay charged to the app, seconds.
+            delay: f64,
+        },
+        /// The background re-admission lane launched a low-V/f probe routine
+        /// on a withdrawn core (probation).
+        CoreProbeLaunched {
+            /// The core under probation.
+            core: u32,
+            /// Clean probes already banked this probation round.
+            streak: u32,
+            /// Probe sessions in flight after this launch (≤ lane budget).
+            inflight: u32,
+        },
+        /// Probation succeeded: the core's refire streak cooled and it
+        /// rejoins the mappable pool.
+        CoreReadmitted {
+            /// The re-admitted core.
+            core: u32,
+            /// Clean probes that earned the re-admission.
+            probes: u32,
+        },
+        /// A probation probe reproduced the fault: the core returns to
+        /// quarantine and the retry cadence backs off exponentially.
+        CoreRequarantined {
+            /// The re-quarantined core.
+            core: u32,
+            /// Failed probation rounds so far (backoff exponent).
+            backoff: u32,
+        },
+        /// A periodic checkpoint captured an application's task state,
+        /// resetting the dirty span a later migration must transfer.
+        AppCheckpointed {
+            /// Application id.
+            app: u64,
+            /// Tasks whose state was captured.
+            tasks: u32,
+            /// Checkpoint image size, bytes.
+            bytes: u64,
+        },
+    }
 }
 
 impl SimEvent {
-    /// Number of event kinds (array size for exact per-kind counters).
-    pub const KIND_COUNT: usize = 22;
-
-    /// All kind names, in [`SimEvent::kind_index`] order.
-    pub const KINDS: [&'static str; Self::KIND_COUNT] = [
-        "AppArrived",
-        "AppRejected",
-        "AppMapped",
-        "AppCompleted",
-        "TestLaunched",
-        "TestDeniedPower",
-        "TestAborted",
-        "TestCompleted",
-        "CapAdjusted",
-        "DvfsTransition",
-        "FaultActivated",
-        "FaultDetected",
-        "CoreSuspected",
-        "CoreQuarantined",
-        "CoreCleared",
-        "AppAborted",
-        "AppRestarted",
-        "AppMigrated",
-        "CoreProbeLaunched",
-        "CoreReadmitted",
-        "CoreRequarantined",
-        "AppCheckpointed",
-    ];
-
-    /// Dense index of this event's kind, for fixed-size counter arrays.
-    pub fn kind_index(&self) -> usize {
-        match self {
-            SimEvent::AppArrived { .. } => 0,
-            SimEvent::AppRejected { .. } => 1,
-            SimEvent::AppMapped { .. } => 2,
-            SimEvent::AppCompleted { .. } => 3,
-            SimEvent::TestLaunched { .. } => 4,
-            SimEvent::TestDeniedPower { .. } => 5,
-            SimEvent::TestAborted { .. } => 6,
-            SimEvent::TestCompleted { .. } => 7,
-            SimEvent::CapAdjusted { .. } => 8,
-            SimEvent::DvfsTransition { .. } => 9,
-            SimEvent::FaultActivated { .. } => 10,
-            SimEvent::FaultDetected { .. } => 11,
-            SimEvent::CoreSuspected { .. } => 12,
-            SimEvent::CoreQuarantined { .. } => 13,
-            SimEvent::CoreCleared { .. } => 14,
-            SimEvent::AppAborted { .. } => 15,
-            SimEvent::AppRestarted { .. } => 16,
-            SimEvent::AppMigrated { .. } => 17,
-            SimEvent::CoreProbeLaunched { .. } => 18,
-            SimEvent::CoreReadmitted { .. } => 19,
-            SimEvent::CoreRequarantined { .. } => 20,
-            SimEvent::AppCheckpointed { .. } => 21,
-        }
-    }
-
     /// The event's kind name (stable, used as the JSON `kind` field).
     pub fn kind(&self) -> &'static str {
         Self::KINDS[self.kind_index()]
     }
-
-    /// True when the provenance contract requires every emission of this
-    /// kind to carry a cause link. The complement — kinds that may be
-    /// emitted as roots — is exactly [`SimEvent::ROOT_KINDS`] plus
-    /// `TestLaunched` (ranked-lane launches are roots, retest-lane
-    /// launches are caused).
-    pub fn cause_required(kind_index: usize) -> bool {
-        !matches!(kind_index, 0 | 4 | 8 | 9 | 10)
-    }
-
-    /// Kind names that may legitimately appear as provenance-DAG roots
-    /// (no cause link). Everything else must be caused — enforced by
-    /// `validate_events` on every captured run.
-    pub const ROOT_KINDS: [&'static str; 5] = [
-        "AppArrived",
-        "TestLaunched",
-        "CapAdjusted",
-        "DvfsTransition",
-        "FaultActivated",
-    ];
 
     /// Appends this event as one JSON object (no trailing newline) to
     /// `out`. Floats use Rust's shortest-round-trip `Display`, which is
@@ -352,139 +303,6 @@ impl SimEvent {
         let _ = write!(out, "{{\"t\":{t},\"kind\":\"{kind}\"");
         self.write_json_fields(out);
         out.push('}');
-    }
-
-    /// Appends the per-variant payload fields (each preceded by a comma,
-    /// no braces) to `out` — the shared tail of [`SimEvent::write_json`]
-    /// and [`EventRecord::write_json`].
-    pub fn write_json_fields(&self, out: &mut String) {
-        match *self {
-            SimEvent::AppArrived { app, tasks } | SimEvent::AppRejected { app, tasks } => {
-                let _ = write!(out, ",\"app\":{app},\"tasks\":{tasks}");
-            }
-            SimEvent::AppMapped {
-                app,
-                tasks,
-                first_node,
-                region_w,
-                region_h,
-                level,
-                hop_cost,
-                queue_wait,
-                headroom,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"app\":{app},\"tasks\":{tasks},\"first_node\":{first_node},\
-                     \"region_w\":{region_w},\"region_h\":{region_h},\"level\":{level},\
-                     \"hop_cost\":{hop_cost},\"queue_wait\":{queue_wait},\"headroom\":{headroom}"
-                );
-            }
-            SimEvent::AppCompleted { app, latency } => {
-                let _ = write!(out, ",\"app\":{app},\"latency\":{latency}");
-            }
-            SimEvent::TestLaunched {
-                core,
-                routine,
-                level,
-                power,
-                headroom,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"routine\":{routine},\"level\":{level},\
-                     \"power\":{power},\"headroom\":{headroom}"
-                );
-            }
-            SimEvent::TestDeniedPower {
-                core,
-                needed,
-                headroom,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"needed\":{needed},\"headroom\":{headroom}"
-                );
-            }
-            SimEvent::TestAborted { core, reason } => {
-                let _ = write!(out, ",\"core\":{core},\"reason\":\"{}\"", reason.as_str());
-            }
-            SimEvent::TestCompleted {
-                core,
-                routine,
-                level,
-                covered_levels,
-                interval,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"routine\":{routine},\"level\":{level},\
-                     \"covered_levels\":{covered_levels},\"interval\":{interval}"
-                );
-            }
-            SimEvent::CapAdjusted {
-                cap,
-                measured,
-                headroom,
-                reservations,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"cap\":{cap},\"measured\":{measured},\"headroom\":{headroom},\
-                     \"reservations\":{reservations}"
-                );
-            }
-            SimEvent::DvfsTransition { core, from, to } => {
-                let _ = write!(out, ",\"core\":{core},\"from\":{from},\"to\":{to}");
-            }
-            SimEvent::FaultActivated { core } => {
-                let _ = write!(out, ",\"core\":{core}");
-            }
-            SimEvent::FaultDetected { core, latency } => {
-                let _ = write!(out, ",\"core\":{core},\"latency\":{latency}");
-            }
-            SimEvent::CoreSuspected { core, level } => {
-                let _ = write!(out, ",\"core\":{core},\"level\":{level}");
-            }
-            SimEvent::CoreQuarantined { core, retests }
-            | SimEvent::CoreCleared { core, retests } => {
-                let _ = write!(out, ",\"core\":{core},\"retests\":{retests}");
-            }
-            SimEvent::AppAborted { app, core } | SimEvent::AppRestarted { app, core } => {
-                let _ = write!(out, ",\"app\":{app},\"core\":{core}");
-            }
-            SimEvent::AppMigrated {
-                app,
-                core,
-                moved_tasks,
-                delay,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"app\":{app},\"core\":{core},\"moved_tasks\":{moved_tasks},\
-                     \"delay\":{delay}"
-                );
-            }
-            SimEvent::CoreProbeLaunched {
-                core,
-                streak,
-                inflight,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"core\":{core},\"streak\":{streak},\"inflight\":{inflight}"
-                );
-            }
-            SimEvent::CoreReadmitted { core, probes } => {
-                let _ = write!(out, ",\"core\":{core},\"probes\":{probes}");
-            }
-            SimEvent::CoreRequarantined { core, backoff } => {
-                let _ = write!(out, ",\"core\":{core},\"backoff\":{backoff}");
-            }
-            SimEvent::AppCheckpointed { app, tasks, bytes } => {
-                let _ = write!(out, ",\"app\":{app},\"tasks\":{tasks},\"bytes\":{bytes}");
-            }
-        }
     }
 }
 
@@ -507,135 +325,67 @@ impl std::fmt::Display for EventId {
     }
 }
 
-/// Why one event caused another: the typed edge label of the provenance
-/// DAG. Each kind admits a fixed `(cause kinds, effect kinds)` pair —
-/// see [`CauseKind::expected`] — and `validate_events` rejects any link
-/// outside that table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CauseKind {
-    /// `AppArrived` → `AppMapped` / `AppRejected`: the admission verdict
-    /// on a fresh arrival.
-    Arrival,
-    /// `AppRestarted` → `AppMapped` / `AppRejected`: the re-admission
-    /// verdict on a quarantine-displaced app.
-    Restart,
-    /// `AppMapped` → `AppCompleted`: the placement that ran to the end.
-    Mapping,
-    /// `CapAdjusted` → `TestDeniedPower`: the governor's cap move that
-    /// left too little headroom for the session.
-    CapMove,
-    /// `CoreSuspected` → `TestLaunched`: a confirmation retest planned
-    /// by the priority lane (ranked-lane launches are roots instead).
-    RetestLane,
-    /// `TestLaunched` → `TestCompleted` / `TestAborted`: the session's
-    /// own lifecycle.
-    Session,
-    /// `FaultActivated` → `FaultDetected`: the latent fault the routine
-    /// caught.
-    Activation,
-    /// `FaultDetected` → `CoreSuspected`: a detection opening the
-    /// suspicion window.
-    Detection,
-    /// `TestCompleted` → `CoreSuspected`: a false-positive routine
-    /// verdict opening the suspicion window with no underlying fault.
-    FalseAlarm,
-    /// `TestCompleted` → `CoreQuarantined`: the confirming retest that
-    /// upheld the detection.
-    RetestFailed,
-    /// `TestCompleted` → `CoreCleared`: the last retest of a streak that
-    /// failed to reproduce the detection.
-    RetestPassed,
-    /// `CoreSuspected` → `CoreQuarantined`: immediate quarantine when
-    /// zero confirmation retests are configured.
-    Suspicion,
-    /// `CoreQuarantined` → `AppAborted` / `AppRestarted` / `AppMigrated`:
-    /// the victim-handling policy acting on the quarantine.
-    Quarantine,
-    /// `CoreQuarantined` / `CoreRequarantined` → `CoreProbeLaunched`:
-    /// the background re-admission lane probing a withdrawn core.
-    ProbeLane,
-    /// `CoreProbeLaunched` → `CoreReadmitted`: the clean probe that
-    /// completed the cool-down streak.
-    ProbePassed,
-    /// `CoreProbeLaunched` → `CoreRequarantined`: the probe that
-    /// reproduced the fault and failed probation.
-    ProbeFailed,
-    /// `AppMapped` → `AppCheckpointed`: the placement whose task state
-    /// the checkpoint captured.
-    Checkpoint,
+indexed_enum! {
+    /// Why one event caused another: the typed edge label of the provenance
+    /// DAG. Each kind admits a fixed `(cause kinds, effect kinds)` pair —
+    /// see [`CauseKind::expected`] — and `validate_events` rejects any link
+    /// outside that table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum CauseKind {
+        /// `AppArrived` → `AppMapped` / `AppRejected`: the admission verdict
+        /// on a fresh arrival.
+        Arrival = "arrival",
+        /// `AppRestarted` → `AppMapped` / `AppRejected`: the re-admission
+        /// verdict on a quarantine-displaced app.
+        Restart = "restart",
+        /// `AppMapped` → `AppCompleted`: the placement that ran to the end.
+        Mapping = "mapping",
+        /// `CapAdjusted` → `TestDeniedPower`: the governor's cap move that
+        /// left too little headroom for the session.
+        CapMove = "cap_move",
+        /// `CoreSuspected` → `TestLaunched`: a confirmation retest planned
+        /// by the priority lane (ranked-lane launches are roots instead).
+        RetestLane = "retest_lane",
+        /// `TestLaunched` → `TestCompleted` / `TestAborted`: the session's
+        /// own lifecycle.
+        Session = "session",
+        /// `FaultActivated` → `FaultDetected`: the latent fault the routine
+        /// caught.
+        Activation = "activation",
+        /// `FaultDetected` → `CoreSuspected`: a detection opening the
+        /// suspicion window.
+        Detection = "detection",
+        /// `TestCompleted` → `CoreSuspected`: a false-positive routine
+        /// verdict opening the suspicion window with no underlying fault.
+        FalseAlarm = "false_alarm",
+        /// `TestCompleted` → `CoreQuarantined`: the confirming retest that
+        /// upheld the detection.
+        RetestFailed = "retest_failed",
+        /// `TestCompleted` → `CoreCleared`: the last retest of a streak that
+        /// failed to reproduce the detection.
+        RetestPassed = "retest_passed",
+        /// `CoreSuspected` → `CoreQuarantined`: immediate quarantine when
+        /// zero confirmation retests are configured.
+        Suspicion = "suspicion",
+        /// `CoreQuarantined` → `AppAborted` / `AppRestarted` / `AppMigrated`:
+        /// the victim-handling policy acting on the quarantine.
+        Quarantine = "quarantine",
+        /// `CoreQuarantined` / `CoreRequarantined` → `CoreProbeLaunched`:
+        /// the background re-admission lane probing a withdrawn core.
+        ProbeLane = "probe_lane",
+        /// `CoreProbeLaunched` → `CoreReadmitted`: the clean probe that
+        /// completed the cool-down streak.
+        ProbePassed = "probe_passed",
+        /// `CoreProbeLaunched` → `CoreRequarantined`: the probe that
+        /// reproduced the fault and failed probation.
+        ProbeFailed = "probe_failed",
+        /// `AppMapped` → `AppCheckpointed`: the placement whose task state
+        /// the checkpoint captured.
+        Checkpoint = "checkpoint",
+    }
 }
 
 impl CauseKind {
-    /// Number of link kinds (array size for per-kind counters).
-    pub const COUNT: usize = 17;
-
-    /// All link kinds, in [`CauseKind::index`] order.
-    pub const ALL: [CauseKind; Self::COUNT] = [
-        CauseKind::Arrival,
-        CauseKind::Restart,
-        CauseKind::Mapping,
-        CauseKind::CapMove,
-        CauseKind::RetestLane,
-        CauseKind::Session,
-        CauseKind::Activation,
-        CauseKind::Detection,
-        CauseKind::FalseAlarm,
-        CauseKind::RetestFailed,
-        CauseKind::RetestPassed,
-        CauseKind::Suspicion,
-        CauseKind::Quarantine,
-        CauseKind::ProbeLane,
-        CauseKind::ProbePassed,
-        CauseKind::ProbeFailed,
-        CauseKind::Checkpoint,
-    ];
-
-    /// Dense index of this link kind.
-    pub fn index(self) -> usize {
-        match self {
-            CauseKind::Arrival => 0,
-            CauseKind::Restart => 1,
-            CauseKind::Mapping => 2,
-            CauseKind::CapMove => 3,
-            CauseKind::RetestLane => 4,
-            CauseKind::Session => 5,
-            CauseKind::Activation => 6,
-            CauseKind::Detection => 7,
-            CauseKind::FalseAlarm => 8,
-            CauseKind::RetestFailed => 9,
-            CauseKind::RetestPassed => 10,
-            CauseKind::Suspicion => 11,
-            CauseKind::Quarantine => 12,
-            CauseKind::ProbeLane => 13,
-            CauseKind::ProbePassed => 14,
-            CauseKind::ProbeFailed => 15,
-            CauseKind::Checkpoint => 16,
-        }
-    }
-
-    /// Stable lower-snake name used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CauseKind::Arrival => "arrival",
-            CauseKind::Restart => "restart",
-            CauseKind::Mapping => "mapping",
-            CauseKind::CapMove => "cap_move",
-            CauseKind::RetestLane => "retest_lane",
-            CauseKind::Session => "session",
-            CauseKind::Activation => "activation",
-            CauseKind::Detection => "detection",
-            CauseKind::FalseAlarm => "false_alarm",
-            CauseKind::RetestFailed => "retest_failed",
-            CauseKind::RetestPassed => "retest_passed",
-            CauseKind::Suspicion => "suspicion",
-            CauseKind::Quarantine => "quarantine",
-            CauseKind::ProbeLane => "probe_lane",
-            CauseKind::ProbePassed => "probe_passed",
-            CauseKind::ProbeFailed => "probe_failed",
-            CauseKind::Checkpoint => "checkpoint",
-        }
-    }
-
     /// The allowed-link table: `(cause kinds, effect kinds)` this edge
     /// label may connect, as [`SimEvent::KINDS`] names. A link whose
     /// endpoint kinds fall outside its row is a wiring bug and fails
@@ -667,14 +417,16 @@ impl CauseKind {
     }
 }
 
-/// A typed edge of the provenance DAG: *this event happened because of
-/// event `id`, via mechanism `kind`*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CauseLink {
-    /// Edge label (mechanism).
-    pub kind: CauseKind,
-    /// The causing event.
-    pub id: EventId,
+wire_record! {
+    /// A typed edge of the provenance DAG: *this event happened because of
+    /// event `id`, via mechanism `kind`*.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CauseLink {
+        /// Edge label (mechanism).
+        pub kind: CauseKind,
+        /// The causing event.
+        pub id: EventId,
+    }
 }
 
 impl CauseLink {
@@ -684,19 +436,21 @@ impl CauseLink {
     }
 }
 
-/// One emitted event with its full provenance envelope: identity,
-/// timestamp, optional cause link, payload. This is what observers
-/// receive and what the [`EventLog`] stores.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
-    /// Emission-order identity (unique within a run).
-    pub id: EventId,
-    /// Emission time, seconds.
-    pub t: f64,
-    /// The event that caused this one, if it is not a root.
-    pub cause: Option<CauseLink>,
-    /// The decision payload.
-    pub ev: SimEvent,
+wire_record! {
+    /// One emitted event with its full provenance envelope: identity,
+    /// timestamp, optional cause link, payload. This is what observers
+    /// receive and what the [`EventLog`] stores.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct EventRecord {
+        /// Emission-order identity (unique within a run).
+        pub id: EventId,
+        /// Emission time, seconds.
+        pub t: f64,
+        /// The event that caused this one, if it is not a root.
+        pub cause: Option<CauseLink>,
+        /// The decision payload.
+        pub ev: SimEvent,
+    }
 }
 
 impl EventRecord {
@@ -1266,73 +1020,67 @@ pub fn write_json_str(out: &mut String, s: &str) {
 // Flight recorder: per-epoch state snapshots.
 // ---------------------------------------------------------------------------
 
-/// Health lifecycle state of a core, as seen by a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HealthCode {
-    /// No open suspicion.
-    Healthy,
-    /// A detection is being confirmed by retests.
-    Suspect,
-    /// Withdrawn from mapping and power-gated; the re-admission lane may
-    /// later probe it back to health.
-    Quarantined,
-    /// Withdrawn from mapping but under active re-admission probing.
-    Probation,
-}
-
-impl HealthCode {
-    /// Stable lower-snake name used in report output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthCode::Healthy => "healthy",
-            HealthCode::Suspect => "suspect",
-            HealthCode::Quarantined => "quarantined",
-            HealthCode::Probation => "probation",
-        }
+indexed_enum! {
+    /// Health lifecycle state of a core, as seen by a snapshot.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum HealthCode {
+        /// No open suspicion.
+        Healthy = "healthy",
+        /// A detection is being confirmed by retests.
+        Suspect = "suspect",
+        /// Withdrawn from mapping and power-gated; the re-admission lane may
+        /// later probe it back to health.
+        Quarantined = "quarantined",
+        /// Withdrawn from mapping but under active re-admission probing.
+        Probation = "probation",
     }
 }
 
-/// The state of one core captured at an epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoreState {
-    /// Mean power drawn over the closing epoch, watts.
-    pub power_w: f64,
-    /// Temperature at epoch close, kelvin (0 when no transient model).
-    pub temp_k: f64,
-    /// V/f ladder index the core runs at; −1 = power-gated/off.
-    pub vf_level: i16,
-    /// Health lifecycle state.
-    pub health: HealthCode,
-    /// True when an application occupies the core (mapping occupancy).
-    pub occupied: bool,
-    /// True when an SBST session is active on the core.
-    pub testing: bool,
+wire_record! {
+    /// The state of one core captured at an epoch boundary.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub struct CoreState {
+        /// Mean power drawn over the closing epoch, watts.
+        pub power_w: f64,
+        /// Temperature at epoch close, kelvin (0 when no transient model).
+        pub temp_k: f64,
+        /// V/f ladder index the core runs at; −1 = power-gated/off.
+        pub vf_level: i16,
+        /// Health lifecycle state.
+        pub health: HealthCode,
+        /// True when an application occupies the core (mapping occupancy).
+        pub occupied: bool,
+        /// True when an SBST session is active on the core.
+        pub testing: bool,
+    }
 }
 
-/// The full system state captured at one epoch boundary: everything the
-/// mapper, scheduler and governor saw when they made their decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StateSnapshot {
-    /// Epoch-close time, seconds.
-    pub t: f64,
-    /// PID admission cap at that instant, watts.
-    pub cap_w: f64,
-    /// Headroom under the effective cap after reservations, watts.
-    pub headroom_w: f64,
-    /// Measured chip power over the closing epoch, watts.
-    pub power_w: f64,
-    /// Power drawn by test sessions over the closing epoch, watts.
-    pub test_power_w: f64,
-    /// Live session power reservations.
-    pub reservations: u32,
-    /// Applications waiting in the pending queue.
-    pub pending_apps: u32,
-    /// Admitted applications still running.
-    pub running_apps: u32,
-    /// SBST sessions in flight.
-    pub active_tests: u32,
-    /// Per-core state, indexed by dense node id.
-    pub cores: Vec<CoreState>,
+wire_record! {
+    /// The full system state captured at one epoch boundary: everything the
+    /// mapper, scheduler and governor saw when they made their decisions.
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    pub struct StateSnapshot {
+        /// Epoch-close time, seconds.
+        pub t: f64,
+        /// PID admission cap at that instant, watts.
+        pub cap_w: f64,
+        /// Headroom under the effective cap after reservations, watts.
+        pub headroom_w: f64,
+        /// Measured chip power over the closing epoch, watts.
+        pub power_w: f64,
+        /// Power drawn by test sessions over the closing epoch, watts.
+        pub test_power_w: f64,
+        /// Live session power reservations.
+        pub reservations: u32,
+        /// Applications waiting in the pending queue.
+        pub pending_apps: u32,
+        /// Admitted applications still running.
+        pub running_apps: u32,
+        /// SBST sessions in flight.
+        pub active_tests: u32,
+        /// Per-core state, indexed by dense node id.
+        pub cores: Vec<CoreState>,
+    }
 }
 
 /// Bounded flight-recorder ring for [`StateSnapshot`]s.
@@ -1432,16 +1180,18 @@ impl StateRecorder {
     }
 }
 
-/// A finished flight recording: the decimated snapshot ring plus the
-/// exact final snapshot, as returned on a run report. An empty timeline
-/// (the default) means recording was not enabled.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StateTimeline {
-    snapshots: Vec<StateSnapshot>,
-    last: Option<StateSnapshot>,
-    seen: u64,
-    stride: u64,
-    capacity: usize,
+wire_record! {
+    /// A finished flight recording: the decimated snapshot ring plus the
+    /// exact final snapshot, as returned on a run report. An empty timeline
+    /// (the default) means recording was not enabled.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct StateTimeline {
+        snapshots: Vec<StateSnapshot>,
+        last: Option<StateSnapshot>,
+        seen: u64,
+        stride: u64,
+        capacity: usize,
+    }
 }
 
 impl StateTimeline {
@@ -1485,59 +1235,22 @@ impl StateTimeline {
 // Phase profiler: deterministic self-profiling of the control loop.
 // ---------------------------------------------------------------------------
 
-/// One instrumented phase of the epoch control loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// PID governor: cap move + budget resize.
-    Pid,
-    /// Fault-injection activation sweep.
-    Fault,
-    /// Pending-queue admission and mapping.
-    Map,
-    /// SBST session scheduling (retest lane + opportunity scan).
-    Schedule,
-    /// Event-plane drain (task/test completions).
-    Events,
-    /// Epoch close: power accounting, tracing, thermal step, snapshot.
-    Thermal,
-}
-
-impl Phase {
-    /// Number of phases (array size for per-phase accumulators).
-    pub const COUNT: usize = 6;
-
-    /// All phases, in [`Phase::index`] order.
-    pub const ALL: [Phase; Self::COUNT] = [
-        Phase::Pid,
-        Phase::Fault,
-        Phase::Map,
-        Phase::Schedule,
-        Phase::Events,
-        Phase::Thermal,
-    ];
-
-    /// Dense index of this phase.
-    pub fn index(self) -> usize {
-        match self {
-            Phase::Pid => 0,
-            Phase::Fault => 1,
-            Phase::Map => 2,
-            Phase::Schedule => 3,
-            Phase::Events => 4,
-            Phase::Thermal => 5,
-        }
-    }
-
-    /// Stable lower-snake name used in report output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Pid => "pid",
-            Phase::Fault => "fault",
-            Phase::Map => "map",
-            Phase::Schedule => "schedule",
-            Phase::Events => "events",
-            Phase::Thermal => "thermal",
-        }
+indexed_enum! {
+    /// One instrumented phase of the epoch control loop.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Phase {
+        /// PID governor: cap move + budget resize.
+        Pid = "pid",
+        /// Fault-injection activation sweep.
+        Fault = "fault",
+        /// Pending-queue admission and mapping.
+        Map = "map",
+        /// SBST session scheduling (retest lane + opportunity scan).
+        Schedule = "schedule",
+        /// Event-plane drain (task/test completions).
+        Events = "events",
+        /// Epoch close: power accounting, tracing, thermal step, snapshot.
+        Thermal = "thermal",
     }
 }
 
@@ -1564,110 +1277,77 @@ impl PhaseObserver for NullPhaseObserver {
     fn exit(&mut self, _phase: Phase) {}
 }
 
-/// Deterministic self-profile of one run: per-phase work counters and
-/// scratch-buffer high-water marks, maintained by the epoch control loop.
-///
-/// Everything here counts *events processed*, never wall-clock time —
-/// the profile is part of the report and must be byte-identical across
-/// worker counts (wall time stays in `crates/bench`, attached per job by
-/// the batch runner through [`PhaseObserver`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseProfile {
-    /// Control epochs executed.
-    pub epochs: u64,
-    /// PID governor cap moves (one per epoch).
-    pub pid_updates: u64,
-    /// Fault activation sweep passes.
-    pub fault_sweeps: u64,
-    /// Injected faults that became active during sweeps.
-    pub fault_activations: u64,
-    /// Pending-queue admission scans.
-    pub admit_scans: u64,
-    /// Applications admitted and mapped.
-    pub apps_admitted: u64,
-    /// Test-scheduler planning passes.
-    pub sched_calls: u64,
-    /// Confirmation retests planned by the priority lane.
-    pub retests_planned: u64,
-    /// Sessions launched (reservation succeeded).
-    pub sched_launches: u64,
-    /// Sessions denied for lack of power headroom.
-    pub sched_denials: u64,
-    /// Non-empty event batches drained from the calendar.
-    pub queue_batches: u64,
-    /// Events handled in the event plane.
-    pub events_processed: u64,
-    /// Transient thermal-grid steps.
-    pub thermal_steps: u64,
-    /// Flight-recorder snapshots offered.
-    pub snapshots: u64,
-    /// Largest single drained batch (scratch high-water mark).
-    pub batch_high_water: u64,
-    /// Deepest pending-application queue.
-    pub pending_high_water: u64,
-    /// Largest running-application table.
-    pub running_high_water: u64,
-    /// Largest scheduler candidate scratch.
-    pub candidates_high_water: u64,
-    /// Largest per-epoch launch plan.
-    pub launches_high_water: u64,
-    /// O(1) maintained free-set reads by the admission loop (one per
-    /// pending-application check that used to be a full-core filter).
-    pub free_set_queries: u64,
-    /// Full mapper-snapshot rebuilds (at most one per admission tick,
-    /// plus one per migration remap).
-    pub ctx_rebuilds: u64,
-    /// In-place mapper-snapshot patches applied between admissions of
-    /// one tick instead of full rebuilds.
-    pub ctx_delta_updates: u64,
-    /// Test-candidate bitset bits visited by scheduling passes (the
-    /// replacement for the two full-array candidate/retest scans).
-    pub candidates_scanned: u64,
-    /// Scheduler ranked-lane heap pops (lazy partial selection; the
-    /// replacement for the full criticality sort).
-    pub heap_pops: u64,
-    /// Cores newly marked dirty across all generations (re-marks within
-    /// a generation do not count).
-    pub dirty_marks: u64,
+wire_record! {
+    counters
+    /// Deterministic self-profile of one run: per-phase work counters and
+    /// scratch-buffer high-water marks, maintained by the epoch control loop.
+    ///
+    /// Everything here counts *events processed*, never wall-clock time —
+    /// the profile is part of the report and must be byte-identical across
+    /// worker counts (wall time stays in `crates/bench`, attached per job by
+    /// the batch runner through [`PhaseObserver`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PhaseProfile {
+        /// Control epochs executed.
+        pub epochs: u64,
+        /// PID governor cap moves (one per epoch).
+        pub pid_updates: u64,
+        /// Fault activation sweep passes.
+        pub fault_sweeps: u64,
+        /// Injected faults that became active during sweeps.
+        pub fault_activations: u64,
+        /// Pending-queue admission scans.
+        pub admit_scans: u64,
+        /// Applications admitted and mapped.
+        pub apps_admitted: u64,
+        /// Test-scheduler planning passes.
+        pub sched_calls: u64,
+        /// Confirmation retests planned by the priority lane.
+        pub retests_planned: u64,
+        /// Sessions launched (reservation succeeded).
+        pub sched_launches: u64,
+        /// Sessions denied for lack of power headroom.
+        pub sched_denials: u64,
+        /// Non-empty event batches drained from the calendar.
+        pub queue_batches: u64,
+        /// Events handled in the event plane.
+        pub events_processed: u64,
+        /// Transient thermal-grid steps.
+        pub thermal_steps: u64,
+        /// Flight-recorder snapshots offered.
+        pub snapshots: u64,
+        /// Largest single drained batch (scratch high-water mark).
+        pub batch_high_water: u64,
+        /// Deepest pending-application queue.
+        pub pending_high_water: u64,
+        /// Largest running-application table.
+        pub running_high_water: u64,
+        /// Largest scheduler candidate scratch.
+        pub candidates_high_water: u64,
+        /// Largest per-epoch launch plan.
+        pub launches_high_water: u64,
+        /// O(1) maintained free-set reads by the admission loop (one per
+        /// pending-application check that used to be a full-core filter).
+        pub free_set_queries: u64,
+        /// Full mapper-snapshot rebuilds (at most one per admission tick,
+        /// plus one per migration remap).
+        pub ctx_rebuilds: u64,
+        /// In-place mapper-snapshot patches applied between admissions of
+        /// one tick instead of full rebuilds.
+        pub ctx_delta_updates: u64,
+        /// Test-candidate bitset bits visited by scheduling passes (the
+        /// replacement for the two full-array candidate/retest scans).
+        pub candidates_scanned: u64,
+        /// Scheduler ranked-lane heap pops (lazy partial selection; the
+        /// replacement for the full criticality sort).
+        pub heap_pops: u64,
+        /// Cores newly marked dirty across all generations (re-marks within
+        /// a generation do not count).
+        pub dirty_marks: u64,
+    }
 }
 
 impl PhaseProfile {
-    /// Number of profile counters (see [`PhaseProfile::entries`]).
-    pub const COUNT: usize = 25;
-
-    /// `(name, value)` pairs for every counter, in a stable order — the
-    /// single source of truth for rendering (prom exposition, report
-    /// tables) and for audit reconciliation.
-    pub fn entries(&self) -> [(&'static str, u64); Self::COUNT] {
-        [
-            ("epochs", self.epochs),
-            ("pid_updates", self.pid_updates),
-            ("fault_sweeps", self.fault_sweeps),
-            ("fault_activations", self.fault_activations),
-            ("admit_scans", self.admit_scans),
-            ("apps_admitted", self.apps_admitted),
-            ("sched_calls", self.sched_calls),
-            ("retests_planned", self.retests_planned),
-            ("sched_launches", self.sched_launches),
-            ("sched_denials", self.sched_denials),
-            ("queue_batches", self.queue_batches),
-            ("events_processed", self.events_processed),
-            ("thermal_steps", self.thermal_steps),
-            ("snapshots", self.snapshots),
-            ("batch_high_water", self.batch_high_water),
-            ("pending_high_water", self.pending_high_water),
-            ("running_high_water", self.running_high_water),
-            ("candidates_high_water", self.candidates_high_water),
-            ("launches_high_water", self.launches_high_water),
-            ("free_set_queries", self.free_set_queries),
-            ("ctx_rebuilds", self.ctx_rebuilds),
-            ("ctx_delta_updates", self.ctx_delta_updates),
-            ("candidates_scanned", self.candidates_scanned),
-            ("heap_pops", self.heap_pops),
-            ("dirty_marks", self.dirty_marks),
-        ]
-    }
-
     /// Raises a high-water slot to `depth` if it is deeper than the mark.
     #[inline]
     pub fn raise(slot: &mut u64, depth: usize) {
@@ -1757,259 +1437,17 @@ impl ProgressCounters {
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec impls: exact round-trips for everything a Report carries.
-// Implemented here (not in `wire.rs`) because encoding needs the private
-// fields, and because an exhaustive destructuring next to the type
-// definition turns "field added but codec not updated" into a compile
-// error.
+// Wire codec impls for the two types no declaration macro covers: the
+// newtype id and the event log with its per-kind count array. Implemented
+// here (not in `wire.rs`) because encoding needs the private fields.
 // ---------------------------------------------------------------------------
 
-impl Wire for AbortReason {
+impl Wire for EventId {
     fn encode(&self, w: &mut WireWriter) {
-        w.u64(match self {
-            AbortReason::MappedOver => 0,
-            AbortReason::TaskPreempted => 1,
-        });
+        w.u64(self.0);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u64()? {
-            0 => Ok(AbortReason::MappedOver),
-            1 => Ok(AbortReason::TaskPreempted),
-            _ => r.err("AbortReason index"),
-        }
-    }
-}
-
-impl Wire for SimEvent {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.kind_index() as u64);
-        // Exhaustive: a new variant (or field) without codec coverage
-        // fails to compile.
-        match *self {
-            SimEvent::AppArrived { app, tasks } | SimEvent::AppRejected { app, tasks } => {
-                w.u64(app);
-                tasks.encode(w);
-            }
-            SimEvent::AppMapped {
-                app,
-                tasks,
-                first_node,
-                region_w,
-                region_h,
-                level,
-                hop_cost,
-                queue_wait,
-                headroom,
-            } => {
-                w.u64(app);
-                tasks.encode(w);
-                first_node.encode(w);
-                region_w.encode(w);
-                region_h.encode(w);
-                level.encode(w);
-                w.f64(hop_cost);
-                w.f64(queue_wait);
-                w.f64(headroom);
-            }
-            SimEvent::AppCompleted { app, latency } => {
-                w.u64(app);
-                w.f64(latency);
-            }
-            SimEvent::TestLaunched { core, routine, level, power, headroom } => {
-                core.encode(w);
-                routine.encode(w);
-                level.encode(w);
-                w.f64(power);
-                w.f64(headroom);
-            }
-            SimEvent::TestDeniedPower { core, needed, headroom } => {
-                core.encode(w);
-                w.f64(needed);
-                w.f64(headroom);
-            }
-            SimEvent::TestAborted { core, reason } => {
-                core.encode(w);
-                reason.encode(w);
-            }
-            SimEvent::TestCompleted { core, routine, level, covered_levels, interval } => {
-                core.encode(w);
-                routine.encode(w);
-                level.encode(w);
-                covered_levels.encode(w);
-                w.f64(interval);
-            }
-            SimEvent::CapAdjusted { cap, measured, headroom, reservations } => {
-                w.f64(cap);
-                w.f64(measured);
-                w.f64(headroom);
-                reservations.encode(w);
-            }
-            SimEvent::DvfsTransition { core, from, to } => {
-                core.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            SimEvent::FaultActivated { core } => core.encode(w),
-            SimEvent::FaultDetected { core, latency } => {
-                core.encode(w);
-                w.f64(latency);
-            }
-            SimEvent::CoreSuspected { core, level } => {
-                core.encode(w);
-                level.encode(w);
-            }
-            SimEvent::CoreQuarantined { core, retests }
-            | SimEvent::CoreCleared { core, retests } => {
-                core.encode(w);
-                retests.encode(w);
-            }
-            SimEvent::AppAborted { app, core } | SimEvent::AppRestarted { app, core } => {
-                w.u64(app);
-                core.encode(w);
-            }
-            SimEvent::AppMigrated { app, core, moved_tasks, delay } => {
-                w.u64(app);
-                core.encode(w);
-                moved_tasks.encode(w);
-                w.f64(delay);
-            }
-            SimEvent::CoreProbeLaunched { core, streak, inflight } => {
-                core.encode(w);
-                streak.encode(w);
-                inflight.encode(w);
-            }
-            SimEvent::CoreReadmitted { core, probes } => {
-                core.encode(w);
-                probes.encode(w);
-            }
-            SimEvent::CoreRequarantined { core, backoff } => {
-                core.encode(w);
-                backoff.encode(w);
-            }
-            SimEvent::AppCheckpointed { app, tasks, bytes } => {
-                w.u64(app);
-                tasks.encode(w);
-                w.u64(bytes);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u64()? {
-            0 => SimEvent::AppArrived { app: r.u64()?, tasks: u32::decode(r)? },
-            1 => SimEvent::AppRejected { app: r.u64()?, tasks: u32::decode(r)? },
-            2 => SimEvent::AppMapped {
-                app: r.u64()?,
-                tasks: u32::decode(r)?,
-                first_node: u32::decode(r)?,
-                region_w: u16::decode(r)?,
-                region_h: u16::decode(r)?,
-                level: u8::decode(r)?,
-                hop_cost: r.f64()?,
-                queue_wait: r.f64()?,
-                headroom: r.f64()?,
-            },
-            3 => SimEvent::AppCompleted { app: r.u64()?, latency: r.f64()? },
-            4 => SimEvent::TestLaunched {
-                core: u32::decode(r)?,
-                routine: u16::decode(r)?,
-                level: u8::decode(r)?,
-                power: r.f64()?,
-                headroom: r.f64()?,
-            },
-            5 => SimEvent::TestDeniedPower {
-                core: u32::decode(r)?,
-                needed: r.f64()?,
-                headroom: r.f64()?,
-            },
-            6 => SimEvent::TestAborted { core: u32::decode(r)?, reason: AbortReason::decode(r)? },
-            7 => SimEvent::TestCompleted {
-                core: u32::decode(r)?,
-                routine: u16::decode(r)?,
-                level: u8::decode(r)?,
-                covered_levels: u8::decode(r)?,
-                interval: r.f64()?,
-            },
-            8 => SimEvent::CapAdjusted {
-                cap: r.f64()?,
-                measured: r.f64()?,
-                headroom: r.f64()?,
-                reservations: u32::decode(r)?,
-            },
-            9 => SimEvent::DvfsTransition {
-                core: u32::decode(r)?,
-                from: i16::decode(r)?,
-                to: i16::decode(r)?,
-            },
-            10 => SimEvent::FaultActivated { core: u32::decode(r)? },
-            11 => SimEvent::FaultDetected { core: u32::decode(r)?, latency: r.f64()? },
-            12 => SimEvent::CoreSuspected { core: u32::decode(r)?, level: u8::decode(r)? },
-            13 => SimEvent::CoreQuarantined { core: u32::decode(r)?, retests: u32::decode(r)? },
-            14 => SimEvent::CoreCleared { core: u32::decode(r)?, retests: u32::decode(r)? },
-            15 => SimEvent::AppAborted { app: r.u64()?, core: u32::decode(r)? },
-            16 => SimEvent::AppRestarted { app: r.u64()?, core: u32::decode(r)? },
-            17 => SimEvent::AppMigrated {
-                app: r.u64()?,
-                core: u32::decode(r)?,
-                moved_tasks: u32::decode(r)?,
-                delay: r.f64()?,
-            },
-            18 => SimEvent::CoreProbeLaunched {
-                core: u32::decode(r)?,
-                streak: u32::decode(r)?,
-                inflight: u32::decode(r)?,
-            },
-            19 => SimEvent::CoreReadmitted { core: u32::decode(r)?, probes: u32::decode(r)? },
-            20 => SimEvent::CoreRequarantined { core: u32::decode(r)?, backoff: u32::decode(r)? },
-            21 => SimEvent::AppCheckpointed {
-                app: r.u64()?,
-                tasks: u32::decode(r)?,
-                bytes: r.u64()?,
-            },
-            _ => return r.err("SimEvent kind index"),
-        })
-    }
-}
-
-impl Wire for CauseKind {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.index() as u64);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let i = r.u64()?;
-        match usize::try_from(i) {
-            Ok(i) if i < Self::COUNT => Ok(Self::ALL[i]),
-            _ => r.err("CauseKind index"),
-        }
-    }
-}
-
-impl Wire for CauseLink {
-    fn encode(&self, w: &mut WireWriter) {
-        let CauseLink { kind, id } = self;
-        kind.encode(w);
-        w.u64(id.0);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CauseLink { kind: CauseKind::decode(r)?, id: EventId(r.u64()?) })
-    }
-}
-
-impl Wire for EventRecord {
-    fn encode(&self, w: &mut WireWriter) {
-        let EventRecord { id, t, cause, ev } = self;
-        w.u64(id.0);
-        w.f64(*t);
-        cause.encode(w);
-        ev.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EventRecord {
-            id: EventId(r.u64()?),
-            t: r.f64()?,
-            cause: Option::<CauseLink>::decode(r)?,
-            ev: SimEvent::decode(r)?,
-        })
+        Ok(EventId(r.u64()?))
     }
 }
 
@@ -2034,201 +1472,6 @@ impl Wire for EventLog {
         }
         let next_id = r.u64()?;
         Ok(EventLog { events, capacity, dropped, kind_counts, next_id })
-    }
-}
-
-impl Wire for HealthCode {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(match self {
-            HealthCode::Healthy => 0,
-            HealthCode::Suspect => 1,
-            HealthCode::Quarantined => 2,
-            HealthCode::Probation => 3,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u64()? {
-            0 => Ok(HealthCode::Healthy),
-            1 => Ok(HealthCode::Suspect),
-            2 => Ok(HealthCode::Quarantined),
-            3 => Ok(HealthCode::Probation),
-            _ => r.err("HealthCode index"),
-        }
-    }
-}
-
-impl Wire for CoreState {
-    fn encode(&self, w: &mut WireWriter) {
-        let CoreState { power_w, temp_k, vf_level, health, occupied, testing } = self;
-        w.f64(*power_w);
-        w.f64(*temp_k);
-        vf_level.encode(w);
-        health.encode(w);
-        w.bool(*occupied);
-        w.bool(*testing);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CoreState {
-            power_w: r.f64()?,
-            temp_k: r.f64()?,
-            vf_level: i16::decode(r)?,
-            health: HealthCode::decode(r)?,
-            occupied: r.bool()?,
-            testing: r.bool()?,
-        })
-    }
-}
-
-impl Wire for StateSnapshot {
-    fn encode(&self, w: &mut WireWriter) {
-        let StateSnapshot {
-            t,
-            cap_w,
-            headroom_w,
-            power_w,
-            test_power_w,
-            reservations,
-            pending_apps,
-            running_apps,
-            active_tests,
-            cores,
-        } = self;
-        w.f64(*t);
-        w.f64(*cap_w);
-        w.f64(*headroom_w);
-        w.f64(*power_w);
-        w.f64(*test_power_w);
-        reservations.encode(w);
-        pending_apps.encode(w);
-        running_apps.encode(w);
-        active_tests.encode(w);
-        cores.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StateSnapshot {
-            t: r.f64()?,
-            cap_w: r.f64()?,
-            headroom_w: r.f64()?,
-            power_w: r.f64()?,
-            test_power_w: r.f64()?,
-            reservations: u32::decode(r)?,
-            pending_apps: u32::decode(r)?,
-            running_apps: u32::decode(r)?,
-            active_tests: u32::decode(r)?,
-            cores: Vec::<CoreState>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for StateTimeline {
-    fn encode(&self, w: &mut WireWriter) {
-        let StateTimeline { snapshots, last, seen, stride, capacity } = self;
-        snapshots.encode(w);
-        last.encode(w);
-        w.u64(*seen);
-        w.u64(*stride);
-        capacity.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(StateTimeline {
-            snapshots: Vec::<StateSnapshot>::decode(r)?,
-            last: Option::<StateSnapshot>::decode(r)?,
-            seen: r.u64()?,
-            stride: r.u64()?,
-            capacity: usize::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PhaseProfile {
-    fn encode(&self, w: &mut WireWriter) {
-        // Exhaustive destructuring: adding a counter without extending
-        // the codec is a compile error.
-        let PhaseProfile {
-            epochs,
-            pid_updates,
-            fault_sweeps,
-            fault_activations,
-            admit_scans,
-            apps_admitted,
-            sched_calls,
-            retests_planned,
-            sched_launches,
-            sched_denials,
-            queue_batches,
-            events_processed,
-            thermal_steps,
-            snapshots,
-            batch_high_water,
-            pending_high_water,
-            running_high_water,
-            candidates_high_water,
-            launches_high_water,
-            free_set_queries,
-            ctx_rebuilds,
-            ctx_delta_updates,
-            candidates_scanned,
-            heap_pops,
-            dirty_marks,
-        } = self;
-        for v in [
-            epochs,
-            pid_updates,
-            fault_sweeps,
-            fault_activations,
-            admit_scans,
-            apps_admitted,
-            sched_calls,
-            retests_planned,
-            sched_launches,
-            sched_denials,
-            queue_batches,
-            events_processed,
-            thermal_steps,
-            snapshots,
-            batch_high_water,
-            pending_high_water,
-            running_high_water,
-            candidates_high_water,
-            launches_high_water,
-            free_set_queries,
-            ctx_rebuilds,
-            ctx_delta_updates,
-            candidates_scanned,
-            heap_pops,
-            dirty_marks,
-        ] {
-            w.u64(*v);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PhaseProfile {
-            epochs: r.u64()?,
-            pid_updates: r.u64()?,
-            fault_sweeps: r.u64()?,
-            fault_activations: r.u64()?,
-            admit_scans: r.u64()?,
-            apps_admitted: r.u64()?,
-            sched_calls: r.u64()?,
-            retests_planned: r.u64()?,
-            sched_launches: r.u64()?,
-            sched_denials: r.u64()?,
-            queue_batches: r.u64()?,
-            events_processed: r.u64()?,
-            thermal_steps: r.u64()?,
-            snapshots: r.u64()?,
-            batch_high_water: r.u64()?,
-            pending_high_water: r.u64()?,
-            running_high_water: r.u64()?,
-            candidates_high_water: r.u64()?,
-            launches_high_water: r.u64()?,
-            free_set_queries: r.u64()?,
-            ctx_rebuilds: r.u64()?,
-            ctx_delta_updates: r.u64()?,
-            candidates_scanned: r.u64()?,
-            heap_pops: r.u64()?,
-            dirty_marks: r.u64()?,
-        })
     }
 }
 
@@ -2523,6 +1766,12 @@ mod tests {
                 assert!(SimEvent::cause_required(idx), "{name} must require a cause");
             }
         }
+        // The `#[root]` markers declare exactly these kinds.
+        assert_eq!(
+            SimEvent::ROOT_KINDS,
+            ["AppArrived", "TestLaunched", "CapAdjusted", "DvfsTransition", "FaultActivated"]
+        );
+        assert!(SimEvent::cause_required(SimEvent::KIND_COUNT), "out-of-range index");
         // Root kinds are exactly the kinds exempt from the requirement.
         for (i, name) in SimEvent::KINDS.iter().enumerate() {
             let is_root = SimEvent::ROOT_KINDS.contains(name);

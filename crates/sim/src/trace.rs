@@ -10,21 +10,23 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A single named series of `(time, value)` samples.
-///
-/// A series is unbounded by default. [`TraceSeries::with_bound`] caps the
-/// stored sample count: when the cap is reached the series halves itself
-/// (keeping every second point) and doubles its sampling stride, so a
-/// multi-second run records a uniform thinning of the full signal in
-/// bounded memory instead of growing without limit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TraceSeries {
-    points: Vec<(f64, f64)>,
-    bound: Option<usize>,
-    /// Keep one sample out of every `stride` offered (power of two).
-    stride: u64,
-    /// Samples offered via `push` over the series' lifetime.
-    seen: u64,
+wire_record! {
+    /// A single named series of `(time, value)` samples.
+    ///
+    /// A series is unbounded by default. [`TraceSeries::with_bound`] caps the
+    /// stored sample count: when the cap is reached the series halves itself
+    /// (keeping every second point) and doubles its sampling stride, so a
+    /// multi-second run records a uniform thinning of the full signal in
+    /// bounded memory instead of growing without limit.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TraceSeries {
+        points: Vec<(f64, f64)>,
+        bound: Option<usize>,
+        /// Keep one sample out of every `stride` offered (power of two).
+        stride: u64,
+        /// Samples offered via `push` over the series' lifetime.
+        seen: u64,
+    }
 }
 
 impl TraceSeries {
@@ -247,26 +249,8 @@ impl fmt::Display for Trace {
     }
 }
 
-// Wire impls live beside the types so the exhaustive destructuring keeps
-// the codec honest when a field is added.
-
-impl Wire for TraceSeries {
-    fn encode(&self, w: &mut WireWriter) {
-        let TraceSeries { points, bound, stride, seen } = self;
-        points.encode(w);
-        bound.encode(w);
-        w.u64(*stride);
-        w.u64(*seen);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TraceSeries {
-            points: Vec::<(f64, f64)>::decode(r)?,
-            bound: Option::<usize>::decode(r)?,
-            stride: r.u64()?,
-            seen: r.u64()?,
-        })
-    }
-}
+// `Trace` is hand-coded: its series map travels as a count followed by
+// `(name, series)` pairs.
 
 impl Wire for Trace {
     fn encode(&self, w: &mut WireWriter) {

@@ -18,9 +18,14 @@
 //! be truncated or corrupted on disk and a corrupt cache entry must
 //! degrade to a cache miss.
 //!
-//! [`Report`]: https://docs.rs/ — `manytest_core::Report`, which
-//! implements [`Wire`] by exhaustively destructuring itself, so adding a
-//! report field without extending the codec is a compile error.
+//! Record, indexed-enum and event-table codecs are generated from the
+//! type's own declaration by [`wire_record!`](crate::wire_record),
+//! [`indexed_enum!`](crate::indexed_enum) and
+//! [`event_enum!`](crate::event_enum) — [`Report`] among them — so a
+//! field or variant added to a declaration is encoded without a second
+//! edit.
+//!
+//! [`Report`]: https://docs.rs/ — `manytest_core::Report`
 
 use std::fmt;
 use std::str::SplitAsciiWhitespace;
@@ -255,9 +260,9 @@ impl<'a> WireReader<'a> {
 }
 
 /// A type with an exact wire round-trip: `decode(encode(x)) == x`, bit
-/// for bit. Implemented next to each type's definition so a field added
-/// to the struct without touching the codec fails to compile (encoders
-/// destructure exhaustively).
+/// for bit. Implemented by the declaration macros for records and enums,
+/// and by hand beside the few types with a custom layout (maps, count
+/// arrays, newtypes).
 pub trait Wire: Sized {
     /// Appends this value's tokens to the stream.
     fn encode(&self, w: &mut WireWriter);
