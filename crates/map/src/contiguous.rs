@@ -454,7 +454,7 @@ mod tests {
                     tick(1);
                     tum_penalty(&ctx, c)
                 };
-                let mut drain = |total: &mut [u64; 2]| {
+                let drain = |total: &mut [u64; 2]| {
                     for (t, call) in total.iter_mut().zip(&calls) {
                         *t += call.replace(0);
                     }

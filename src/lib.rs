@@ -37,7 +37,7 @@
 //!
 //! Every figure and table of the evaluation has a generator in the
 //! `manytest-bench` crate: `cargo run -p manytest-bench --bin repro --release`
-//! prints every series; `cargo bench` runs the criterion benches. See
+//! prints and times every series. See
 //! `EXPERIMENTS.md` at the repository root for the experiment index and
 //! DESIGN.md for the system inventory.
 
