@@ -112,17 +112,20 @@ macro_rules! event_enum {
                 }
             }
 
+            // One index constant per kind, named after it, so the
+            // dispatch is a `match` over constant patterns.
+            #[allow(non_upper_case_globals)]
             fn decode(
                 r: &mut $crate::wire::WireReader<'_>,
             ) -> Result<Self, $crate::wire::WireError> {
                 enum Kind { $($variant),+ }
-                let kind = r.u64()?;
-                $(if kind == Kind::$variant as u64 {
-                    return Ok(Self::$variant {
+                $(const $variant: u64 = Kind::$variant as u64;)+
+                Ok(match r.u64()? {
+                    $($variant => Self::$variant {
                         $($field: <$ty as $crate::wire::Wire>::decode(r)?),*
-                    });
-                })+
-                r.err(concat!(stringify!($name), " kind index"))
+                    },)+
+                    _ => return r.err(concat!(stringify!($name), " kind index")),
+                })
             }
         }
     };
