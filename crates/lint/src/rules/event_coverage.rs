@@ -70,11 +70,10 @@ impl Rule for EventEmissionCoverage {
         let Some(obs) = ws.file(OBS_FILE) else {
             return; // nothing to cover (synthetic workspaces opt in)
         };
-        let marked = marked_enum_variants(obs, ENUM_NAME, ROOT_MARKER);
+        let marked = marked_enum_variants(obs, ENUM_NAME);
         if marked.is_empty() {
             return;
         }
-        let variants: Vec<&Token> = marked.iter().map(|(v, _)| v).collect();
         // Constructions anywhere outside obs.rs and audit.rs, in
         // non-test code: `SimEvent` `::` `<Variant>`.
         let mut constructed: Vec<String> = Vec::new();
@@ -98,7 +97,7 @@ impl Rule for EventEmissionCoverage {
                 }
             }
         }
-        for v in variants {
+        for (v, _) in &marked {
             if !constructed.iter().any(|c| *c == v.text) {
                 out.push(Finding {
                     rule: self.id(),
@@ -274,20 +273,20 @@ fn collect_variant_refs(
 
 /// Extracts the variant-name tokens of `enum <name> { … }` from a file.
 pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Token> {
-    marked_enum_variants(file, name, "")
+    marked_enum_variants(file, name)
         .into_iter()
         .map(|(v, _)| v)
         .collect()
 }
 
 /// Extracts the variant-name tokens of `enum <name> { … }` from a file,
-/// each paired with whether a `#[<marker> …]` attribute precedes it.
+/// each paired with whether a `#[root …]` marker attribute precedes it.
 ///
 /// Token-level walk: find `enum <name>`, then collect the identifier
 /// that opens each variant at brace depth 1 (doc comments are skipped by
 /// tokenization; attributes and field blocks are stepped over). The walk
 /// reads the item inside a declaration-macro invocation just as well.
-pub fn marked_enum_variants(file: &SourceFile, name: &str, marker: &str) -> Vec<(Token, bool)> {
+pub fn marked_enum_variants(file: &SourceFile, name: &str) -> Vec<(Token, bool)> {
     let code: Vec<&Token> = file.code_tokens().collect();
     let mut variants = Vec::new();
     let mut i = 0;
@@ -325,7 +324,7 @@ pub fn marked_enum_variants(file: &SourceFile, name: &str, marker: &str) -> Vec<
             }
             _ if depth == 1 && t.is_punct('#') => {
                 // Skip a `#[…]` attribute group, noting the marker.
-                marked |= code.get(i + 2).is_some_and(|a| a.is_ident(marker));
+                marked |= code.get(i + 2).is_some_and(|a| a.is_ident(ROOT_MARKER));
                 i += 1;
                 let mut attr_depth = 0i32;
                 while i < code.len() {

@@ -21,11 +21,9 @@
 //! Record, indexed-enum and event-table codecs are generated from the
 //! type's own declaration by [`wire_record!`](crate::wire_record),
 //! [`indexed_enum!`](crate::indexed_enum) and
-//! [`event_enum!`](crate::event_enum) — [`Report`] among them — so a
-//! field or variant added to a declaration is encoded without a second
-//! edit.
-//!
-//! [`Report`]: https://docs.rs/ — `manytest_core::Report`
+//! [`event_enum!`](crate::event_enum) — `manytest_core::Report` among
+//! them — so a field or variant added to a declaration is encoded
+//! without a second edit.
 
 use std::fmt;
 use std::str::SplitAsciiWhitespace;
