@@ -52,8 +52,10 @@
 //! inspect and clean the ledger. `--progress` streams heartbeat frames
 //! to stderr (percent/ETA per running job, event counts, and a STALLED
 //! verdict for jobs silent longer than `MANYTEST_STALL_SECONDS`).
-//! `regress` re-runs a small probe set at quick scale and exits nonzero
-//! if any watched aggregate drifted from the committed baseline.
+//! `regress` re-runs the baseline probes and kernels grids at quick
+//! scale (fresh, never from the ledger) and exits nonzero if any watched
+//! count or aggregate drifted from the one committed baseline;
+//! `MANYTEST_UPDATE_GOLDEN=1` rewrites that baseline instead.
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{explain, write_event_logs, PROBE_IDS};

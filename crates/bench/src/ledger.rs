@@ -104,7 +104,9 @@ pub fn hash_hex(hash: u64) -> String {
 
 /// Runs `builder` through the ledger funnel: consult the cache, else
 /// build and run, then record the outcome. This is the single entry
-/// point every experiment, probe and ablation run goes through.
+/// point every experiment, probe and ablation run goes through — except
+/// the `repro regress` gate, which must see fresh runs because the cache
+/// key is the config, not the code that runs it.
 ///
 /// `fallback_label` names the run in manifests when the call is not
 /// inside a batch job (batch jobs use their push label). With no ledger
@@ -364,7 +366,9 @@ impl FlatValue {
 }
 
 /// Parses one flat JSON object (`{"key": value, ...}` with only string
-/// and number values — no nesting). Returns `None` on any malformation;
+/// and finite number values — no nesting). Returns `None` on any
+/// malformation, a number that overflows f64, or a key written twice
+/// (a merge-conflicted file must not silently keep one of its values);
 /// manifest consumers treat that as "corrupt, skip".
 pub fn parse_flat_json(text: &str) -> Option<BTreeMap<String, FlatValue>> {
     let mut chars = text.char_indices().peekable();
@@ -437,10 +441,16 @@ pub fn parse_flat_json(text: &str) -> Option<BTreeMap<String, FlatValue>> {
                         break;
                     }
                 }
-                FlatValue::Num(num.parse().ok()?)
+                let num: f64 = num.parse().ok()?;
+                if !num.is_finite() {
+                    return None;
+                }
+                FlatValue::Num(num)
             }
         };
-        map.insert(key, value);
+        if map.insert(key, value).is_some() {
+            return None; // duplicate key
+        }
         skip_ws(&mut chars);
         match chars.next()?.1 {
             ',' => continue,
@@ -488,7 +498,9 @@ pub struct Manifest {
     pub raw: BTreeMap<String, FlatValue>,
 }
 
-fn manifest_from_map(file: &str, map: BTreeMap<String, FlatValue>) -> Option<Manifest> {
+/// Validates a parsed manifest map into a [`Manifest`]; `None` when a
+/// required key is missing, mistyped, or the schema/hash is wrong.
+pub fn manifest_from_map(file: &str, map: BTreeMap<String, FlatValue>) -> Option<Manifest> {
     if map.get("schema")?.str()? != MANIFEST_SCHEMA {
         return None;
     }
@@ -713,6 +725,8 @@ mod tests {
             "{\"a\": 1} trailing",
             "{\"a\": {\"nested\": 1}}",
             "not json at all",
+            "{\"a\": 1, \"a\": 1}",
+            "{\"a\": 1e999}",
         ] {
             assert!(parse_flat_json(bad).is_none(), "accepted: {bad:?}");
         }

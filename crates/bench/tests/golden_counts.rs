@@ -1,109 +1,30 @@
-//! Telemetry regression gate: the per-kind event counts of two probes
-//! are pinned against golden JSON files checked into the repository.
+//! Telemetry regression gate: the per-kind event counts of the
+//! [`REGRESS_PROBES`] runs equal their `<probe>.kind.<Kind>` keys in the
+//! committed numeric baseline, `tests/baselines/regress.quick.json`.
 //!
 //! A deterministic simulator plus a deterministic probe configuration
 //! means these counts are exact constants — any drift is a real
 //! behavioural change (an emission point added/removed, an RNG stream
 //! perturbed, a scheduler decision reordered) and must be reviewed, not
-//! absorbed. To accept an intentional change, regenerate the goldens:
+//! absorbed. The test never writes; to accept an intentional change,
+//! regenerate the baseline:
 //!
 //! ```sh
-//! MANYTEST_UPDATE_GOLDEN=1 cargo test -p manytest-bench --test golden_counts
-//! git diff crates/bench/tests/golden/   # review, then commit
+//! MANYTEST_UPDATE_GOLDEN=1 cargo run -p manytest-bench --bin repro -- regress
+//! git diff crates/bench/tests/baselines/   # review, then commit
 //! ```
 
-use manytest_bench::events::run_probe;
-use manytest_bench::Scale;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
-
-/// One steady-state probe, the fault-response probe, and the lifecycle
-/// probe: between them every event kind the control loop emits is
-/// represented (e12 covers the probe-lane and checkpoint kinds).
-const GOLDEN_IDS: [&str; 3] = ["e3", "e11", "e12"];
-
-fn golden_path(id: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{id}.quick.json"))
-}
-
-/// Renders counts as a stable, human-diffable JSON object (sorted keys,
-/// one pair per line). Zero counts are kept so a kind that stops firing
-/// shows up as a `N -> 0` diff rather than a vanished line.
-fn to_json(counts: &BTreeMap<String, u64>) -> String {
-    let mut out = String::from("{\n");
-    for (i, (kind, count)) in counts.iter().enumerate() {
-        let sep = if i + 1 == counts.len() { "" } else { "," };
-        let _ = writeln!(out, "  \"{kind}\": {count}{sep}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Minimal parser for the flat object `to_json` writes. Panics (failing
-/// the test) on anything it does not recognise — goldens are
-/// machine-written, so leniency would only hide corruption.
-fn parse_json(text: &str) -> BTreeMap<String, u64> {
-    let body = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .expect("golden file is a JSON object");
-    body.split(',')
-        .map(str::trim)
-        .filter(|line| !line.is_empty())
-        .map(|line| {
-            let (key, value) = line.split_once(':').expect("golden line is `\"kind\": count`");
-            let kind = key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .expect("golden key is quoted");
-            let count: u64 = value.trim().parse().expect("golden count is an integer");
-            (kind.to_owned(), count)
-        })
-        .collect()
-}
+use manytest_bench::regress::{self, REGRESS_PROBES};
 
 #[test]
 fn per_kind_event_counts_match_the_golden_files() {
-    let update = std::env::var_os("MANYTEST_UPDATE_GOLDEN").is_some();
-    for id in GOLDEN_IDS {
-        let report = run_probe(id, Scale::Quick).expect("known probe id");
-        let counts: BTreeMap<String, u64> = report
-            .events
-            .kind_counts()
-            .map(|(kind, count)| (kind.to_owned(), count))
-            .collect();
-        let path = golden_path(id);
-        if update {
-            std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
-            std::fs::write(&path, to_json(&counts)).expect("write golden file");
-            continue;
-        }
-        let golden = parse_json(&std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden file {} ({e}); regenerate with \
-                 MANYTEST_UPDATE_GOLDEN=1 cargo test -p manytest-bench --test golden_counts",
-                path.display()
-            )
-        }));
-        assert_eq!(
-            counts,
-            golden,
-            "probe {id}: per-kind event counts drifted from {}; if intentional, \
-             regenerate with MANYTEST_UPDATE_GOLDEN=1 and commit the diff",
-            path.display()
-        );
-    }
-}
-
-#[test]
-fn golden_json_round_trips() {
-    let mut counts = BTreeMap::new();
-    counts.insert("AppArrived".to_owned(), 12u64);
-    counts.insert("TestLaunched".to_owned(), 0u64);
-    assert_eq!(parse_json(&to_json(&counts)), counts);
+    let verdict = regress::check_where(&REGRESS_PROBES, &[], |key| key.contains(".kind."));
+    assert!(
+        verdict.is_clean(),
+        "{} event count(s) drifted from {}; if the change is intentional, regenerate \
+         with MANYTEST_UPDATE_GOLDEN=1 repro regress and commit the diff:\n{}",
+        verdict.failures,
+        regress::baseline_path().display(),
+        verdict.table
+    );
 }

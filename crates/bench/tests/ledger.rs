@@ -154,7 +154,7 @@ fn regress_gate_passes_clean_and_fails_on_injected_drift() {
         stdout_of(&clean)
     );
     assert!(stdout_of(&clean).contains("regress: OK"));
-    // Warm ledger: the drift run replays from cache, then fails the gate.
+    // The watch never reads the cache, so the drift run re-simulates too.
     let drift = repro(&["regress", "--jobs", "4", "--inject-drift"], ledger);
     assert_eq!(drift.status.code(), Some(1), "injected drift must exit 1");
     let text = stdout_of(&drift);

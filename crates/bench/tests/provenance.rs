@@ -5,6 +5,8 @@
 //! audit layer (which already runs them on every captured run): event
 //! ids mint strictly monotonically, every cause precedes its effect, and
 //! every fault-response outcome chains back to a legitimate root. The
+//! same sweep checks that every probe's report survives the
+//! manytest-wire codec (decoded equal, re-encoded byte-equal). The
 //! fixture half pins the full `repro diff` output for E11 against a
 //! reseeded twin — the divergence point of two seeded runs is itself a
 //! deterministic artifact, so drift in *where the histories split* is a
@@ -17,6 +19,7 @@
 
 use manytest_bench::diff::{run_diff, DiffTarget};
 use manytest_bench::events::{run_probe, PROBE_IDS};
+use manytest_bench::regress::update_requested;
 use manytest_bench::Scale;
 use manytest_core::prelude::*;
 use std::path::PathBuf;
@@ -28,6 +31,12 @@ const DIFF_SEED2: u64 = 111;
 fn provenance_dag_is_acyclic_and_time_ordered_across_all_probes() {
     for id in PROBE_IDS {
         let report = run_probe(id, Scale::Quick).expect("known probe id");
+        // Report → wire → Report: bit-equal, and a byte-equal re-encode.
+        let wire = report.encode_wire();
+        let decoded = Report::decode_wire(&wire)
+            .unwrap_or_else(|e| panic!("probe {id}: wire decode failed: {e:?}"));
+        assert!(decoded == report, "probe {id}: wire round trip changed the report");
+        assert!(decoded.encode_wire() == wire, "probe {id}: re-encode is not byte-equal");
         // The audit layer's full double-entry + DAG validation.
         validate_events(&report).unwrap_or_else(|e| panic!("probe {id}: {e}"));
         let records = report.events.events();
@@ -110,7 +119,7 @@ fn e11_first_divergence_against_reseeded_twin_matches_the_golden_fixture() {
         "reseeded runs must diverge:\n{text}"
     );
     let path = diff_golden_path();
-    if std::env::var_os("MANYTEST_UPDATE_GOLDEN").is_some() {
+    if update_requested() {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .expect("create golden dir");
         std::fs::write(&path, &text).expect("write golden file");

@@ -1,8 +1,24 @@
-//! `golden-schema`: the golden JSONs must parse, their kind keys must be
-//! a subset of the `SimEvent` enum, the probe ids the docs reference
+//! `golden-schema`: the numeric baseline must parse and speak the
+//! vocabulary of the code it pins, the probe ids the docs reference
 //! must exist in `crates/bench/src/events.rs`, and any `manytest_*`
 //! metric name the docs quote must be declared in `METRIC_KEYS`
 //! (`crates/bench/src/report.rs`).
+//!
+//! The one numeric baseline, `crates/bench/tests/baselines/
+//! regress.quick.json` (the `repro regress` gate), must be a flat JSON
+//! object of finite numbers with no key written twice, and every key
+//! must name something real:
+//!
+//! * `<probe>.kind.<Kind>`: `<probe>` in `PROBE_IDS`, `<Kind>` a
+//!   `SimEvent` variant;
+//! * `<probe>.<aggregate>`: `<aggregate>` in `PROBE_AGGREGATES`
+//!   (`crates/bench/src/regress.rs`);
+//! * `g<edge>.<name>`: `<name>` a `PhaseProfile` field or in
+//!   `GRID_EXTRAS` (`regress.rs`).
+//!
+//! Any other JSON in the golden dir (Perfetto traces aside) is flagged:
+//! numeric baselines live in that one file, and a second one would be
+//! checked by nothing.
 //!
 //! Perfetto exports (`*.trace.json`, in the golden dir or a generated
 //! `report/` directory) speak the Chrome trace-event schema instead:
@@ -11,12 +27,6 @@
 //! slices, `id` on flows, `bp` on flow finishes), and every flow start
 //! must pair with a finish — a half-arrow renders as nothing in the UI,
 //! silently hiding a causal link.
-//!
-//! One golden file speaks a different schema: `kernels_baseline.json`
-//! (the scaling gate) pins phase-profile counters per mesh edge, so its
-//! keys must be `g<edge>.<counter>` with `<counter>` a real
-//! `PhaseProfile` field — the same staleness protection, different
-//! vocabulary.
 //!
 //! Run-ledger manifests (committed fixtures under
 //! `crates/bench/tests/fixtures/manifests/` and any locally generated
@@ -28,13 +38,14 @@
 //! disappears from `runs list`/`runs show` and from the regress watch's
 //! ledger history, so the lint fails loudly instead.
 //!
-//! The golden per-kind count gate only protects the repo while the
-//! golden files themselves are well-formed and speak the same schema as
-//! the event enum — a typo'd kind key would silently never match
-//! anything. The doc halves catch drift the other way: `repro explain
-//! e11`-style commands quoted in README/EXPERIMENTS must name probes the
-//! binary actually knows, and a documented Prometheus metric that the
-//! report renderer no longer emits would silently break scrapes.
+//! The baseline gate only protects the repo while its file is
+//! well-formed and speaks the same schema as the code — a key renamed on
+//! one side fails the gate as missing/new, but a duplicated key would
+//! silently check one of its values. The doc halves catch drift the
+//! other way: `repro explain e11`-style commands quoted in
+//! README/EXPERIMENTS must name probes the binary actually knows, and a
+//! documented Prometheus metric that the report renderer no longer emits
+//! would silently break scrapes.
 
 use super::event_coverage::enum_variants;
 use super::Rule;
@@ -48,6 +59,8 @@ const OBS_FILE: &str = "crates/sim/src/obs.rs";
 const EVENTS_FILE: &str = "crates/bench/src/events.rs";
 const REPORT_FILE: &str = "crates/bench/src/report.rs";
 const LEDGER_FILE: &str = "crates/bench/src/ledger.rs";
+const REGRESS_FILE: &str = "crates/bench/src/regress.rs";
+const BASELINE_FILE: &str = "crates/bench/tests/baselines/regress.quick.json";
 const GOLDEN_DIR: &str = "crates/bench/tests/golden";
 const MANIFEST_DIRS: [&str; 2] = ["crates/bench/tests/fixtures/manifests", "runs/manifests"];
 const DOC_FILES: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
@@ -73,7 +86,8 @@ impl Rule for GoldenSchema {
     }
 
     fn description(&self) -> &'static str {
-        "golden JSONs must parse with SimEvent kind keys; doc probe ids and metric names must exist"
+        "the regress baseline must parse with real probe/kind/counter keys; \
+         doc probe ids and metric names must exist"
     }
 
     fn check_workspace(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -91,7 +105,15 @@ impl Rule for GoldenSchema {
             .map(|obs| struct_fields(obs, "PhaseProfile"))
             .unwrap_or_default();
         let probe_ids = string_array(ws, EVENTS_FILE, "PROBE_IDS");
-        self.check_golden_files(ws, &kinds, &counters, &probe_ids, out);
+        let vocab = BaselineVocab {
+            kinds,
+            counters,
+            probe_ids: probe_ids.clone(),
+            aggregates: string_array(ws, REGRESS_FILE, "PROBE_AGGREGATES"),
+            grid_extras: string_array(ws, REGRESS_FILE, "GRID_EXTRAS"),
+        };
+        self.check_baseline_file(ws, &vocab, out);
+        self.check_golden_dir(ws, out);
         self.check_trace_files(ws, out);
         self.check_manifest_files(ws, &probe_ids, out);
         self.check_doc_probe_ids(ws, &probe_ids, out);
@@ -100,104 +122,67 @@ impl Rule for GoldenSchema {
 }
 
 impl GoldenSchema {
-    fn check_golden_files(
-        &self,
-        ws: &Workspace,
-        kinds: &[String],
-        counters: &[String],
-        probe_ids: &Option<Vec<String>>,
-        out: &mut Vec<Finding>,
-    ) {
-        let dir = ws.root.join(GOLDEN_DIR);
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            return; // no golden gate in this tree
+    /// Validates the numeric baseline: it parses as a flat object of
+    /// finite numbers, no key repeats, and every key names a real probe,
+    /// event kind, aggregate or counter.
+    fn check_baseline_file(&self, ws: &Workspace, vocab: &BaselineVocab, out: &mut Vec<Finding>) {
+        let Ok(text) = std::fs::read_to_string(ws.root.join(BASELINE_FILE)) else {
+            return; // no baseline gate in this tree
         };
-        let mut paths: Vec<_> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        let finding = |line, col, message| Finding {
+            rule: self.id(),
+            file: BASELINE_FILE.to_string(),
+            line,
+            col,
+            message,
+            rationale: GOLDEN_RATIONALE,
+        };
+        let entries = match parse_flat_object(&text) {
+            Ok(entries) => entries,
+            Err((line, col, msg)) => {
+                out.push(finding(line, col, format!("baseline does not parse: {msg}")));
+                return;
+            }
+        };
+        let mut seen: Vec<&str> = Vec::with_capacity(entries.len());
+        for (key, value, line, col) in &entries {
+            if seen.contains(&key.as_str()) {
+                out.push(finding(*line, *col, format!("duplicate baseline key `{key}`")));
+            }
+            seen.push(key);
+            if value.is_some() {
+                let message = format!("baseline value of `{key}` is not a number");
+                out.push(finding(*line, *col, message));
+            }
+            if let Some(problem) = vocab.problem_with(key) {
+                out.push(finding(*line, *col, format!("baseline key `{key}`: {problem}")));
+            }
+        }
+    }
+
+    /// Flags any JSON in the golden dir other than a Perfetto trace:
+    /// numeric baselines live in [`BASELINE_FILE`] only.
+    fn check_golden_dir(&self, ws: &Workspace, out: &mut Vec<Finding>) {
+        let Ok(entries) = std::fs::read_dir(ws.root.join(GOLDEN_DIR)) else {
+            return;
+        };
+        let mut names: Vec<String> = entries
+            .filter_map(|e| e.ok().map(|e| e.file_name().to_string_lossy().into_owned()))
+            .filter(|n| n.ends_with(".json") && !n.ends_with(".trace.json"))
             .collect();
-        paths.sort();
-        for path in paths {
-            let file_name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            if file_name.ends_with(".trace.json") {
-                continue; // Perfetto schema; handled by check_trace_files
-            }
-            let rel = format!("{GOLDEN_DIR}/{file_name}");
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                out.push(Finding {
-                    rule: self.id(),
-                    file: rel,
-                    line: 1,
-                    col: 1,
-                    message: "golden file is unreadable".into(),
-                    rationale: GOLDEN_RATIONALE,
-                });
-                continue;
-            };
-            match parse_flat_object(&text) {
-                Err((line, col, msg)) => out.push(Finding {
-                    rule: self.id(),
-                    file: rel.clone(),
-                    line,
-                    col,
-                    message: format!("golden file does not parse: {msg}"),
-                    rationale: GOLDEN_RATIONALE,
-                }),
-                Ok(entries) => {
-                    let is_kernels_baseline = file_name == "kernels_baseline.json";
-                    for (key, line, col) in entries {
-                        if is_kernels_baseline {
-                            if !counters.is_empty() && !is_kernels_key(&key, counters) {
-                                out.push(Finding {
-                                    rule: self.id(),
-                                    file: rel.clone(),
-                                    line,
-                                    col,
-                                    message: format!(
-                                        "scaling key `{key}` is not \
-                                         `g<edge>.<PhaseProfile counter>`"
-                                    ),
-                                    rationale: GOLDEN_RATIONALE,
-                                });
-                            }
-                        } else if !kinds.is_empty() && !kinds.contains(&key) {
-                            out.push(Finding {
-                                rule: self.id(),
-                                file: rel.clone(),
-                                line,
-                                col,
-                                message: format!(
-                                    "kind key `{key}` is not a SimEvent variant"
-                                ),
-                                rationale: GOLDEN_RATIONALE,
-                            });
-                        }
-                    }
-                }
-            }
-            // `e3.quick.json` → probe id `e3` must be a known probe. The
-            // kernels baseline is keyed by mesh edge, not probe id.
-            if file_name == "kernels_baseline.json" {
-                continue;
-            }
-            if let Some(ids) = probe_ids {
-                let stem = file_name.split('.').next().unwrap_or_default();
-                if !stem.is_empty() && !ids.iter().any(|i| i == stem) {
-                    out.push(Finding {
-                        rule: self.id(),
-                        file: rel,
-                        line: 1,
-                        col: 1,
-                        message: format!(
-                            "golden file is named for unknown probe id `{stem}`"
-                        ),
-                        rationale: GOLDEN_RATIONALE,
-                    });
-                }
-            }
+        names.sort();
+        for name in names {
+            out.push(Finding {
+                rule: self.id(),
+                file: format!("{GOLDEN_DIR}/{name}"),
+                line: 1,
+                col: 1,
+                message: format!(
+                    "numeric golden file outside the one baseline ({BASELINE_FILE}); \
+                     nothing checks it — move its keys into the baseline"
+                ),
+                rationale: GOLDEN_RATIONALE,
+            });
         }
     }
 
@@ -286,7 +271,7 @@ impl GoldenSchema {
                     });
                     continue;
                 };
-                let entries = match parse_manifest_object(&text) {
+                let entries = match parse_flat_object(&text) {
                     Err((line, col, msg)) => {
                         out.push(Finding {
                             rule: self.id(),
@@ -496,8 +481,9 @@ impl GoldenSchema {
 }
 
 const GOLDEN_RATIONALE: &str =
-    "the golden count gate only bites when its files parse and use real SimEvent kind \
-     names; regenerate with MANYTEST_UPDATE_GOLDEN=1 rather than editing by hand";
+    "the regress baseline gate only bites when its one file parses, holds each key once \
+     and names real probes, SimEvent kinds and counters; regenerate with \
+     `MANYTEST_UPDATE_GOLDEN=1 repro regress` rather than editing by hand";
 
 const TRACE_RATIONALE: &str =
     "Perfetto silently drops malformed trace entries, so a schema slip hides telemetry \
@@ -592,18 +578,49 @@ fn validate_perfetto(text: &str) -> Vec<(u32, String)> {
     errors
 }
 
-/// A kernels-baseline key is `g<edge>.<counter>` with a numeric edge and
-/// a counter that is a real `PhaseProfile` field.
-fn is_kernels_key(key: &str, counters: &[String]) -> bool {
-    let Some((grid, counter)) = key.split_once('.') else {
-        return false;
-    };
-    let Some(edge) = grid.strip_prefix('g') else {
-        return false;
-    };
-    !edge.is_empty()
-        && edge.chars().all(|c| c.is_ascii_digit())
-        && counters.iter().any(|c| c == counter)
+/// The names a baseline key may use, read from the source files that
+/// declare them. An absent source (a synthetic workspace) leaves that
+/// part of the key unchecked.
+struct BaselineVocab {
+    kinds: Vec<String>,
+    counters: Vec<String>,
+    probe_ids: Option<Vec<String>>,
+    aggregates: Option<Vec<String>>,
+    grid_extras: Option<Vec<String>>,
+}
+
+impl BaselineVocab {
+    /// What is wrong with `key`, or `None` when it names real things.
+    fn problem_with(&self, key: &str) -> Option<String> {
+        let Some((head, rest)) = key.split_once('.') else {
+            return Some("no `<probe>.` or `g<edge>.` prefix".into());
+        };
+        let known = |list: &[String], name: &str| list.iter().any(|item| item == name);
+        if let Some(edge) = head.strip_prefix('g') {
+            if !edge.is_empty() && edge.chars().all(|c| c.is_ascii_digit()) {
+                let extras = self.grid_extras.as_deref().unwrap_or_default();
+                let checkable = !self.counters.is_empty() || self.grid_extras.is_some();
+                return (checkable && !known(&self.counters, rest) && !known(extras, rest)).then(|| {
+                    format!(
+                        "`{rest}` is neither a PhaseProfile counter nor in GRID_EXTRAS \
+                         ({REGRESS_FILE})"
+                    )
+                });
+            }
+        }
+        if let Some(ids) = &self.probe_ids {
+            if !known(ids, head) {
+                return Some(format!("unknown probe id `{head}` (PROBE_IDS in {EVENTS_FILE})"));
+            }
+        }
+        if let Some(kind) = rest.strip_prefix("kind.") {
+            return (!self.kinds.is_empty() && !known(&self.kinds, kind))
+                .then(|| format!("kind `{kind}` is not a SimEvent variant"));
+        }
+        let aggregates = self.aggregates.as_deref()?;
+        (!known(aggregates, rest))
+            .then(|| format!("`{rest}` is not in PROBE_AGGREGATES ({REGRESS_FILE})"))
+    }
 }
 
 /// Extracts the field names of `struct <name> { … }` from `file`: every
@@ -681,11 +698,11 @@ fn string_const(ws: &Workspace, path: &str, name: &str) -> Option<String> {
         .map(|t| t.text.clone())
 }
 
-/// Parses a flat JSON object whose values are strings or numbers — the
-/// run-manifest shape. Returns `(key, string value if quoted, line,
-/// col)` per entry, positioned at the *value*.
+/// Parses a flat JSON object whose values are strings or finite
+/// numbers — the run-manifest and baseline shape. Returns `(key, string
+/// value if quoted, line, col)` per entry, positioned at the *value*.
 #[allow(clippy::type_complexity)]
-fn parse_manifest_object(
+fn parse_flat_object(
     text: &str,
 ) -> Result<Vec<(String, Option<String>, u32, u32)>, (u32, u32, String)> {
     let mut p = JsonScanner::new(text);
@@ -711,44 +728,6 @@ fn parse_manifest_object(
             None
         };
         entries.push((key, value, line, col));
-        p.skip_ws();
-        match p.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => {
-                return Err((
-                    p.line,
-                    p.col,
-                    format!("expected `,` or `}}`, found {other:?}"),
-                ))
-            }
-        }
-    }
-    Ok(entries)
-}
-
-/// Parses a flat JSON object `{ "key": <unsigned int>, … }`, returning
-/// each key with its 1-based position. Errors carry a position too.
-#[allow(clippy::type_complexity)]
-fn parse_flat_object(text: &str) -> Result<Vec<(String, u32, u32)>, (u32, u32, String)> {
-    let mut p = JsonScanner::new(text);
-    p.skip_ws();
-    p.expect('{')?;
-    let mut entries = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some('}') {
-        p.next();
-        return Ok(entries);
-    }
-    loop {
-        p.skip_ws();
-        let (line, col) = (p.line, p.col);
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        p.unsigned()?;
-        entries.push((key, line, col));
         p.skip_ws();
         match p.next() {
             Some(',') => continue,
@@ -825,7 +804,7 @@ impl<'a> JsonScanner<'a> {
         }
     }
 
-    /// Accepts any JSON number (sign, decimals, exponent).
+    /// Accepts any finite JSON number (sign, decimals, exponent).
     fn number(&mut self) -> Result<(), (u32, u32, String)> {
         let (line, col) = (self.line, self.col);
         let mut digits = String::new();
@@ -835,21 +814,10 @@ impl<'a> JsonScanner<'a> {
         {
             digits.push(self.next().unwrap_or('0'));
         }
-        if digits.parse::<f64>().is_ok() {
+        if digits.parse::<f64>().is_ok_and(f64::is_finite) {
             Ok(())
         } else {
-            Err((line, col, "expected a JSON number".into()))
+            Err((line, col, "expected a finite JSON number".into()))
         }
-    }
-
-    fn unsigned(&mut self) -> Result<u64, (u32, u32, String)> {
-        let (line, col) = (self.line, self.col);
-        let mut digits = String::new();
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            digits.push(self.next().unwrap_or('0'));
-        }
-        digits
-            .parse()
-            .map_err(|_| (line, col, "expected an unsigned integer count".into()))
     }
 }

@@ -434,52 +434,73 @@ fn emitter_definitions_and_caused_emissions_need_no_allow() {
 
 // ----- golden-schema (on-disk synthetic workspace) ---------------------
 
+/// Writes `baseline` as the regress baseline under a fresh fixture root.
+fn baseline_fixture(name: &str, baseline: &str) -> std::path::PathBuf {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("crates/bench/tests/baselines");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    std::fs::write(dir.join("regress.quick.json"), baseline).expect("write");
+    root
+}
+
+fn golden_messages(report: &LintReport) -> Vec<&str> {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "golden-schema")
+        .map(|f| f.message.as_str())
+        .collect()
+}
+
 #[test]
 fn golden_schema_catches_bad_kinds_unknown_probes_and_doc_drift() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-golden-fixture");
-    let golden = root.join("crates/bench/tests/golden");
-    std::fs::create_dir_all(&golden).expect("tmpdir");
-    std::fs::write(golden.join("e3.quick.json"), "{\n  \"Bogus\": 3\n}\n").expect("write");
-    std::fs::write(golden.join("q7.quick.json"), "{ \"Alpha\": 1 }\n").expect("write");
-    std::fs::write(golden.join("e11.quick.json"), "{ \"Alpha\": }\n").expect("write");
+    let root = baseline_fixture(
+        "lint-golden-fixture",
+        "{\n  \"e3.kind.Bogus\": 3,\n  \"q7.kind.Alpha\": 1,\n  \"e3.kind.Alpha\": 2\n}\n",
+    );
     std::fs::write(
         root.join("README.md"),
         "Run `repro explain e99` to inspect a probe.\n",
     )
     .expect("write");
-    let obs = SourceFile::from_source("crates/sim/src/obs.rs", "pub enum SimEvent { Alpha }\n");
-    let events = SourceFile::from_source(
-        "crates/bench/src/events.rs",
-        "pub const PROBE_IDS: [&str; 2] = [\"e3\", \"e11\"];\n",
-    );
-    let ws = Workspace::from_sources(root, vec![obs, events]);
+    let sources = || {
+        vec![
+            SourceFile::from_source("crates/sim/src/obs.rs", "pub enum SimEvent { Alpha }\n"),
+            SourceFile::from_source(
+                "crates/bench/src/events.rs",
+                "pub const PROBE_IDS: [&str; 2] = [\"e3\", \"e11\"];\n",
+            ),
+        ]
+    };
+    let ws = Workspace::from_sources(root, sources());
     let report = run(&ws);
-    let golden_findings: Vec<&str> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "golden-schema")
-        .map(|f| f.message.as_str())
-        .collect();
+    let golden_findings = golden_messages(&report);
     assert!(
         golden_findings.iter().any(|m| m.contains("`Bogus`")),
         "bad kind key: {golden_findings:?}"
     );
     assert!(
         golden_findings.iter().any(|m| m.contains("`q7`")),
-        "unknown probe id file: {golden_findings:?}"
-    );
-    assert!(
-        golden_findings.iter().any(|m| m.contains("does not parse")),
-        "parse error: {golden_findings:?}"
+        "unknown probe id: {golden_findings:?}"
     );
     assert!(
         golden_findings.iter().any(|m| m.contains("`e99`")),
         "doc drift: {golden_findings:?}"
     );
-    // The well-formed names were accepted: nothing flagged e3 itself.
+    // The well-formed key was accepted: nothing flagged e3 itself.
     assert!(
         !golden_findings.iter().any(|m| m.contains("unknown probe id `e3`")),
         "{golden_findings:?}"
+    );
+    assert_eq!(golden_findings.len(), 3, "{golden_findings:?}");
+    // A baseline that does not parse is one finding, not silence.
+    let broken = baseline_fixture("lint-golden-broken", "{ \"e3.kind.Alpha\": }\n");
+    let report = run(&Workspace::from_sources(broken, sources()));
+    let golden_findings = golden_messages(&report);
+    assert!(
+        golden_findings.iter().any(|m| m.contains("does not parse")),
+        "parse error: {golden_findings:?}"
     );
 }
 
@@ -621,16 +642,21 @@ fn golden_schema_checks_trace_and_diff_doc_ids() {
 }
 
 #[test]
-fn golden_schema_validates_kernels_baseline_against_phase_profile() {
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-kernels-fixture");
+fn golden_schema_validates_every_regress_baseline_key() {
+    let root = baseline_fixture(
+        "lint-baseline-fixture",
+        "{\n  \"e3.kind.Alpha\": 0,\n  \"e3.throughput_mips\": 89359.61635199994,\n  \
+         \"g8.epochs\": 250,\n  \"g16.candidates_scanned\": 61798,\n  \"g8.seed\": 42,\n  \
+         \"q9.kind.Alpha\": 1,\n  \"e3.kind.Bogus\": 1,\n  \"g8.not_a_counter\": 1,\n  \
+         \"e3.bogus_metric\": 1.5e3,\n  \"epochs\": 2,\n  \"x8.epochs\": 3,\n  \
+         \"e3.tests_completed\": \"763\",\n  \"g8.epochs\": 250\n}\n",
+    );
+    // A numeric golden file outside the baseline is checked by nothing.
     let golden = root.join("crates/bench/tests/golden");
     std::fs::create_dir_all(&golden).expect("tmpdir");
-    std::fs::write(
-        golden.join("kernels_baseline.json"),
-        "{\n  \"g8.epochs\": 250,\n  \"g16.candidates_scanned\": 61798,\n  \
-         \"g8.not_a_counter\": 1,\n  \"epochs\": 2,\n  \"x8.epochs\": 3\n}\n",
-    )
-    .expect("write");
+    std::fs::write(golden.join("kernels_baseline.json"), "{ \"g8.epochs\": 250 }\n")
+        .expect("write");
+    std::fs::write(golden.join("e3.trace.json"), "[\n]\n").expect("write");
     let obs = SourceFile::from_source(
         "crates/sim/src/obs.rs",
         "pub enum SimEvent { Alpha }\n\
@@ -640,29 +666,32 @@ fn golden_schema_validates_kernels_baseline_against_phase_profile() {
         "crates/bench/src/events.rs",
         "pub const PROBE_IDS: [&str; 1] = [\"e3\"];\n",
     );
-    let ws = Workspace::from_sources(root, vec![obs, events]);
+    let regress = SourceFile::from_source(
+        "crates/bench/src/regress.rs",
+        "pub const PROBE_AGGREGATES: [&str; 2] = [\"throughput_mips\", \"tests_completed\"];\n\
+         pub const GRID_EXTRAS: [&str; 1] = [\"seed\"];\n",
+    );
+    let ws = Workspace::from_sources(root, vec![obs, events, regress]);
     let report = run(&ws);
-    let messages: Vec<&str> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "golden-schema")
-        .map(|f| f.message.as_str())
-        .collect();
-    // The three malformed keys are flagged; the two real ones are not,
-    // and the baseline's filename is exempt from the probe-id check.
-    assert!(
-        messages.iter().any(|m| m.contains("`g8.not_a_counter`")),
-        "unknown counter: {messages:?}"
-    );
-    assert!(
-        messages.iter().any(|m| m.contains("`epochs`") && !m.contains("g8")),
-        "missing grid prefix: {messages:?}"
-    );
-    assert!(
-        messages.iter().any(|m| m.contains("`x8.epochs`")),
-        "bad grid prefix: {messages:?}"
-    );
-    assert_eq!(messages.len(), 3, "{messages:?}");
+    let messages = golden_messages(&report);
+    for flagged in [
+        "unknown probe id `q9`",
+        "kind `Bogus` is not a SimEvent variant",
+        "`not_a_counter` is neither a PhaseProfile counter nor in GRID_EXTRAS",
+        "`bogus_metric` is not in PROBE_AGGREGATES",
+        "`epochs`: no `<probe>.` or `g<edge>.` prefix",
+        "unknown probe id `x8`",
+        "value of `e3.tests_completed` is not a number",
+        "duplicate baseline key `g8.epochs`",
+        "numeric golden file outside the one baseline",
+    ] {
+        assert!(
+            messages.iter().any(|m| m.contains(flagged)),
+            "`{flagged}` not flagged: {messages:?}"
+        );
+    }
+    // The five real keys (and the float value 1.5e3) drew nothing else.
+    assert_eq!(messages.len(), 9, "{messages:?}");
 }
 
 #[test]
