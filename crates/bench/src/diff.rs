@@ -131,9 +131,10 @@ pub fn diff_reports(label_a: &str, a: &Report, label_b: &str, b: &Report) -> Str
 
     // Lockstep scan on the rendered record JSON: ids, times, cause links
     // and payloads all participate in the comparison.
-    let render = |rec: &EventRecord| {
+    let mut renderer = JsonRenderer::new();
+    let mut render = |rec: &EventRecord| {
         let mut s = String::new();
-        rec.write_json(&mut s);
+        rec.write_json(&mut renderer, &mut s);
         s
     };
     let common = ev_a.len().min(ev_b.len());

@@ -141,6 +141,7 @@ pub fn trace_json(id: &str, report: &Report) -> String {
             ),
         );
     }
+    let mut render = JsonRenderer::new();
     for rec in records {
         let tid = track_of(&rec.ev);
         let kind = rec.ev.kind();
@@ -149,7 +150,7 @@ pub fn trace_json(id: &str, report: &Report) -> String {
         // trace stays in lockstep with the JSONL schema. The writer
         // prefixes every field with a comma; drop the leading one.
         let mut raw = String::new();
-        rec.ev.write_json_fields(&mut raw);
+        rec.ev.write_json_fields(&mut render, &mut raw);
         let args = raw.strip_prefix(',').unwrap_or(&raw);
         let mut line = String::new();
         match session_end.get(&rec.id.0) {

@@ -606,11 +606,12 @@ fn validate_provenance(report: &Report, errors: &mut String) {
         if !traced {
             continue;
         }
-        let chain = graph.chain_to_root(rec.id);
-        let Some(&root) = chain.last() else {
-            continue; // unreachable: the chain contains the record itself
+        // `None` only on a cause cycle, which needs a link to a later id
+        // — already reported by the monotonicity pass above.
+        let Some(root) = graph.root_of(rec.id) else {
+            continue;
         };
-        if !SimEvent::ROOT_KINDS.contains(&root.ev.kind()) {
+        if SimEvent::cause_required(root.ev.kind_index()) {
             let _ = writeln!(
                 errors,
                 "provenance invariant violated: {} #{} is not reachable from a root \
@@ -627,7 +628,7 @@ fn validate_provenance(report: &Report, errors: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manytest_sim::{CauseKind, CauseLink, EventId, EventRecord, SimEvent};
+    use manytest_sim::{CauseKind, CauseLink, EventId, EventLog, EventRecord, SimEvent, SimRng};
 
     #[test]
     fn empty_report_passes() {
@@ -1139,5 +1140,232 @@ mod tests {
             err.contains("event ids must be strictly increasing"),
             "got: {err}"
         );
+    }
+
+    /// The provenance validator before the O(1) lookup: a `BTreeMap` id
+    /// index and one collected chain per traced record. The
+    /// differential oracle for [`validate_provenance`].
+    fn validate_provenance_oracle(report: &Report, errors: &mut String) {
+        use std::collections::BTreeMap;
+        let recs = report.events.events();
+        let mut last_id: Option<u64> = None;
+        let mut last_t = f64::NEG_INFINITY;
+        for rec in recs {
+            if let Some(prev) = last_id {
+                if rec.id.0 <= prev {
+                    let _ = writeln!(
+                        errors,
+                        "provenance invariant violated: event ids must be strictly increasing \
+                         (#{} follows #{prev})",
+                        rec.id.0
+                    );
+                }
+            }
+            if rec.t < last_t {
+                let _ = writeln!(
+                    errors,
+                    "provenance invariant violated: event times must be non-decreasing \
+                     (t={} after t={last_t} at #{})",
+                    rec.t, rec.id.0
+                );
+            }
+            last_id = Some(rec.id.0);
+            last_t = rec.t;
+            if let Some(link) = rec.cause {
+                if link.id.0 >= rec.id.0 {
+                    let _ = writeln!(
+                        errors,
+                        "provenance invariant violated: cause must precede effect \
+                         ({} #{} links to #{})",
+                        rec.ev.kind(),
+                        rec.id.0,
+                        link.id.0
+                    );
+                }
+            }
+        }
+        if report.events.dropped() > 0 {
+            return;
+        }
+        let mut index_of = BTreeMap::new();
+        for (slot, rec) in recs.iter().enumerate() {
+            index_of.insert(rec.id.0, slot);
+        }
+        let record = |id: EventId| index_of.get(&id.0).map(|&slot| &recs[slot]);
+        for rec in recs {
+            let kind = rec.ev.kind();
+            match rec.cause {
+                Some(link) => match record(link.id) {
+                    Some(parent) => {
+                        let (sources, targets) = link.kind.expected();
+                        if !sources.contains(&parent.ev.kind()) || !targets.contains(&kind) {
+                            let _ = writeln!(
+                                errors,
+                                "provenance invariant violated: link table forbids \
+                                 {} -[{}]-> {} (#{} -> #{})",
+                                parent.ev.kind(),
+                                link.kind.as_str(),
+                                kind,
+                                link.id.0,
+                                rec.id.0
+                            );
+                        }
+                    }
+                    None => {
+                        let _ = writeln!(
+                            errors,
+                            "provenance invariant violated: {} #{} carries a dangling \
+                             cause link to #{} (no drop recorded)",
+                            kind, rec.id.0, link.id.0
+                        );
+                    }
+                },
+                None => {
+                    if SimEvent::cause_required(rec.ev.kind_index()) {
+                        let _ = writeln!(
+                            errors,
+                            "provenance invariant violated: {} #{} must carry a cause link",
+                            kind, rec.id.0
+                        );
+                    }
+                }
+            }
+        }
+        for rec in recs {
+            let traced = matches!(
+                rec.ev,
+                SimEvent::CoreQuarantined { .. }
+                    | SimEvent::CoreReadmitted { .. }
+                    | SimEvent::CoreRequarantined { .. }
+                    | SimEvent::AppMigrated { .. }
+                    | SimEvent::AppAborted { .. }
+                    | SimEvent::AppRestarted { .. }
+                    | SimEvent::TestDeniedPower { .. }
+            );
+            if !traced {
+                continue;
+            }
+            let mut chain = Vec::new();
+            let mut cursor = record(rec.id);
+            while let Some(r) = cursor {
+                chain.push(r);
+                cursor = r.cause.and_then(|link| record(link.id));
+            }
+            let Some(&root) = chain.last() else {
+                continue;
+            };
+            if !SimEvent::ROOT_KINDS.contains(&root.ev.kind()) {
+                let _ = writeln!(
+                    errors,
+                    "provenance invariant violated: {} #{} is not reachable from a root \
+                     (chain stops at {} #{})",
+                    rec.ev.kind(),
+                    rec.id.0,
+                    root.ev.kind(),
+                    root.id.0
+                );
+            }
+        }
+    }
+
+    /// One of a spread of kinds: roots, caused kinds, and every kind the
+    /// root-reachability check traces.
+    fn random_event(rng: &mut SimRng) -> SimEvent {
+        match rng.gen_range(12) {
+            0 => SimEvent::FaultActivated { core: 1 },
+            1 => SimEvent::AppArrived { app: 2, tasks: 3 },
+            2 => SimEvent::FaultDetected { core: 1, latency: 0.5 },
+            3 => SimEvent::CoreSuspected { core: 1, level: 2 },
+            4 => SimEvent::CoreQuarantined { core: 1, retests: 0 },
+            5 => SimEvent::CoreReadmitted { core: 1, probes: 2 },
+            6 => SimEvent::CoreRequarantined { core: 1, backoff: 1 },
+            7 => SimEvent::AppMigrated { app: 2, core: 1, moved_tasks: 1, delay: 0.1 },
+            8 => SimEvent::AppAborted { app: 2, core: 1 },
+            9 => SimEvent::AppRestarted { app: 2, core: 1 },
+            10 => SimEvent::TestDeniedPower { core: 1, needed: 1.0, headroom: 0.5 },
+            _ => SimEvent::CapAdjusted {
+                cap: 50.0,
+                measured: 45.0,
+                headroom: 5.0,
+                reservations: 0,
+            },
+        }
+    }
+
+    /// A random report event stream of one of four shapes: gapless ids,
+    /// gapped ids, unordered ids with duplicates, or a saturated log.
+    /// Links mostly target a smaller id; some dangle, some point past
+    /// every stored id (a forward link that cannot close a cycle, so
+    /// the oracle's chain walk ends).
+    fn random_report(rng: &mut SimRng, shape: u64) -> Report {
+        let n = 1 + rng.gen_range(200);
+        let ids: Vec<u64> = match shape {
+            1 => {
+                let mut id = 0;
+                (0..n)
+                    .map(|_| {
+                        id += 1 + rng.gen_range(3);
+                        id
+                    })
+                    .collect()
+            }
+            2 => (0..n).map(|_| rng.gen_range(n)).collect(),
+            _ => (0..n).collect(),
+        };
+        let top = ids.iter().copied().max().unwrap_or(0);
+        let mut log = if shape == 3 {
+            EventLog::bounded((n / 2) as usize)
+        } else {
+            EventLog::new()
+        };
+        let mut t = 0.0;
+        for id in ids {
+            t += if rng.gen_bool(0.05) { -0.5 } else { rng.gen_f64_range(0.0, 0.1) };
+            let cause = rng.gen_bool(0.85).then(|| {
+                let target = match rng.gen_range(10) {
+                    0 => top + 1 + rng.gen_range(5),
+                    1 => rng.next_u64(),
+                    _ if id > 0 => id - 1 - rng.gen_range(id.min(6)),
+                    _ => top + 1,
+                };
+                let kind = CauseKind::ALL[rng.gen_range(CauseKind::COUNT as u64) as usize];
+                CauseLink::new(kind, EventId(target))
+            });
+            log.push_record(EventRecord { id: EventId(id), t, cause, ev: random_event(rng) });
+        }
+        Report { events: log, ..Report::default() }
+    }
+
+    #[test]
+    fn provenance_matches_the_btree_oracle_on_random_streams() {
+        let mut rng = SimRng::seed_from(0xa0d17);
+        // Every kind of provenance error must occur, so no branch is
+        // only ever compared on two empty texts.
+        let phrases = [
+            "event ids must be strictly increasing",
+            "event times must be non-decreasing",
+            "cause must precede effect",
+            "link table forbids",
+            "carries a dangling cause link",
+            "must carry a cause link",
+            "is not reachable from a root",
+        ];
+        let mut seen = [false; 7];
+        for round in 0..2_000 {
+            let report = random_report(&mut rng, round % 4);
+            let (mut got, mut want) = (String::new(), String::new());
+            validate_provenance(&report, &mut got);
+            validate_provenance_oracle(&report, &mut want);
+            assert_eq!(got, want, "round {round}");
+            // validate_events reports that same text as one block.
+            if !want.is_empty() {
+                let err = validate_events(&report).expect_err("provenance errors fail the audit");
+                assert!(err.contains(want.trim_end()), "round {round}: {err}");
+            }
+            for (seen, phrase) in seen.iter_mut().zip(phrases) {
+                *seen |= want.contains(phrase);
+            }
+        }
+        assert_eq!(seen, [true; 7], "phrases seen: {phrases:?}");
     }
 }

@@ -65,8 +65,7 @@ pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheS
     let cache_path = root.join(CACHE_REL_PATH);
     let old = std::fs::read_to_string(&cache_path)
         .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|doc| load(&doc));
+        .and_then(|text| parse_cache(&text));
 
     let hashes: Vec<u64> = ws.files.iter().map(|f| fnv1a64(f.text.as_bytes())).collect();
     let ws_hash = workspace_hash(&ws, &hashes);
@@ -115,13 +114,40 @@ pub fn lint_workspace_cached(root: &Path) -> std::io::Result<(LintReport, CacheS
 }
 
 /// Hash of every workspace input: the sorted `(path, content hash)`
-/// sequence. Any file added, removed, renamed or edited changes it.
+/// sequence of the Rust sources, then of every non-Rust file a
+/// workspace rule reads ([`Rule::workspace_inputs`](crate::rules::Rule::workspace_inputs)).
+/// Any input added, removed, renamed or edited changes it.
 fn workspace_hash(ws: &Workspace, hashes: &[u64]) -> u64 {
     let mut acc = Vec::new();
-    for (file, &h) in ws.files.iter().zip(hashes) {
-        acc.extend_from_slice(file.rel_path.as_bytes());
+    let mut fold = |path: &str, hash: Option<u64>| {
+        acc.extend_from_slice(path.as_bytes());
         acc.push(0);
-        acc.extend_from_slice(&h.to_le_bytes());
+        // An absent input hashes apart from any content.
+        acc.push(u8::from(hash.is_some()));
+        acc.extend_from_slice(&hash.unwrap_or(0).to_le_bytes());
+    };
+    for (file, &h) in ws.files.iter().zip(hashes) {
+        fold(&file.rel_path, Some(h));
+    }
+    for rule in crate::rules::registry() {
+        for &input in rule.workspace_inputs() {
+            let path = ws.root.join(input);
+            match std::fs::read_dir(&path) {
+                Ok(entries) => {
+                    let mut files: Vec<_> = entries
+                        .filter_map(|e| e.ok().map(|e| e.path()))
+                        .filter(|p| p.is_file())
+                        .collect();
+                    files.sort();
+                    for file in files {
+                        let name = file.file_name().unwrap_or_default().to_string_lossy();
+                        let hash = std::fs::read(&file).ok().map(|b| fnv1a64(&b));
+                        fold(&format!("{input}/{name}"), hash);
+                    }
+                }
+                Err(_) => fold(input, std::fs::read(&path).ok().map(|b| fnv1a64(&b))),
+            }
+        }
     }
     fnv1a64(&acc)
 }
@@ -132,6 +158,18 @@ fn write_cache(
     ws_findings: &[Finding],
     per_file: &[(String, u64, Vec<Finding>)],
 ) -> std::io::Result<()> {
+    let out = render_cache(ws_hash, ws_findings, per_file);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, out)
+}
+
+fn render_cache(
+    ws_hash: u64,
+    ws_findings: &[Finding],
+    per_file: &[(String, u64, Vec<Finding>)],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"version\": {VERSION},\n"));
@@ -150,10 +188,7 @@ fn write_cache(
     }
     out.push_str(if per_file.is_empty() { "]\n" } else { "\n  ]\n" });
     out.push_str("}\n");
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, out)
+    out
 }
 
 fn write_findings(out: &mut String, findings: &[Finding], indent: &str) {
@@ -174,6 +209,12 @@ fn write_findings(out: &mut String, findings: &[Finding], indent: &str) {
         out.push('\n');
         out.push_str(&indent[..indent.len() - 2]);
     }
+}
+
+/// Reads a cache file's text; `None` for anything but a well-formed
+/// cache of the current version.
+fn parse_cache(text: &str) -> Option<CachedRun> {
+    json::parse(text).ok().and_then(|doc| load(&doc))
 }
 
 fn load(doc: &Value) -> Option<CachedRun> {
@@ -233,6 +274,7 @@ fn intern(s: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manytest_sim::SimRng;
 
     #[test]
     fn fnv_is_stable_and_content_sensitive() {
@@ -266,6 +308,99 @@ mod tests {
         assert_eq!(run.files.len(), 1);
         assert_eq!(run.files[0].2, findings);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cache file written by a real run over the lint's own violating
+    /// fixtures (findings of every file rule, escapes and non-ASCII
+    /// messages included).
+    fn real_cache_text() -> String {
+        let root = std::env::temp_dir().join(format!(
+            "manytest-lint-cache-fuzz-{}",
+            std::process::id()
+        ));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).expect("tmpdir");
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let mut names: Vec<_> = std::fs::read_dir(&fixtures)
+            .expect("fixture dir")
+            .filter_map(|e| e.ok().map(|e| e.file_name()))
+            .filter(|n| n.to_string_lossy().ends_with("_violating.rs"))
+            .collect();
+        names.sort();
+        for name in names {
+            std::fs::copy(fixtures.join(&name), src.join(&name)).expect("copy fixture");
+        }
+        lint_workspace_cached(&root).expect("lint the fixture workspace");
+        let text = std::fs::read_to_string(root.join(CACHE_REL_PATH)).expect("cache written");
+        std::fs::remove_dir_all(&root).ok();
+        text
+    }
+
+    fn truncate(rng: &mut SimRng, text: &str) -> String {
+        let mut at = rng.gen_range(text.len() as u64) as usize;
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        text[..at].to_owned()
+    }
+
+    /// XORs a few ASCII bytes with values below 128, so the text stays
+    /// valid UTF-8 while tokens change, split or merge.
+    fn flip(rng: &mut SimRng, text: &str) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        for _ in 0..rng.gen_range_inclusive(1, 4) {
+            let at = rng.gen_range(bytes.len() as u64) as usize;
+            if bytes[at].is_ascii() {
+                bytes[at] ^= rng.gen_range_inclusive(1, 127) as u8;
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII flips keep the text UTF-8")
+    }
+
+    /// Replaces a short run of lines (one finding or file entry each)
+    /// with a run copied from elsewhere in the file.
+    fn splice(rng: &mut SimRng, text: &str) -> String {
+        let mut lines: Vec<&str> = text.split('\n').collect();
+        let from = lines.clone();
+        let at = rng.gen_range(lines.len() as u64) as usize;
+        let cut = (rng.gen_range(4) as usize).min(lines.len() - at);
+        let src = rng.gen_range(from.len() as u64) as usize;
+        let take = (rng.gen_range(4) as usize).min(from.len() - src);
+        lines.splice(at..at + cut, from[src..src + take].iter().copied());
+        lines.join("\n")
+    }
+
+    fn render(run: &CachedRun) -> String {
+        render_cache(run.workspace_hash, &run.workspace_findings, &run.files)
+    }
+
+    /// Loads a mutant; one that loads must re-render to a fixed point.
+    fn check(mutant: &str) -> bool {
+        let Some(run) = parse_cache(mutant) else {
+            return false;
+        };
+        let once = render(&run);
+        let again = parse_cache(&once).expect("a re-rendered cache loads");
+        assert_eq!(render(&again), once, "re-rendering is not a fixed point:\n{mutant}");
+        true
+    }
+
+    #[test]
+    fn loader_survives_truncation_flips_and_splices() {
+        let text = real_cache_text();
+        assert!(text.contains("\"findings\": [\n"), "the seed cache carries findings");
+        assert!(check(&text), "the seed cache must load");
+        let mut rng = SimRng::seed_from(0x11a7_cace);
+        let mutants = 300;
+        let mut loaded = 0;
+        for _ in 0..mutants {
+            loaded += usize::from(check(&truncate(&mut rng, &text)));
+            loaded += usize::from(check(&flip(&mut rng, &text)));
+            loaded += usize::from(check(&splice(&mut rng, &text)));
+        }
+        // Both paths are exercised: some mutants load, most do not.
+        assert!(loaded > 0, "no mutant loaded; the fixed-point property went unchecked");
+        assert!(loaded < 3 * mutants, "mutations must not all load");
     }
 
     #[test]

@@ -64,6 +64,18 @@ const BASELINE_FILE: &str = "crates/bench/tests/baselines/regress.quick.json";
 const GOLDEN_DIR: &str = "crates/bench/tests/golden";
 const MANIFEST_DIRS: [&str; 2] = ["crates/bench/tests/fixtures/manifests", "runs/manifests"];
 const DOC_FILES: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
+/// Directory of generated Perfetto exports the trace check also reads.
+const REPORT_DIR: &str = "report";
+/// Every non-Rust path the rule reads.
+const INPUTS: [&str; 7] = [
+    BASELINE_FILE,
+    GOLDEN_DIR,
+    REPORT_DIR,
+    MANIFEST_DIRS[0],
+    MANIFEST_DIRS[1],
+    DOC_FILES[0],
+    DOC_FILES[1],
+];
 
 /// Workspace crate names in path form — `manytest_sim::…` in a doc is a
 /// Rust path, not a metric reference.
@@ -118,6 +130,10 @@ impl Rule for GoldenSchema {
         self.check_manifest_files(ws, &probe_ids, out);
         self.check_doc_probe_ids(ws, &probe_ids, out);
         self.check_doc_metric_keys(ws, &string_array(ws, REPORT_FILE, "METRIC_KEYS"), out);
+    }
+
+    fn workspace_inputs(&self) -> &'static [&'static str] {
+        &INPUTS
     }
 }
 
@@ -190,7 +206,7 @@ impl GoldenSchema {
     /// golden dir or a generated `report/` directory against the Chrome
     /// trace-event schema the `repro trace` writer promises.
     fn check_trace_files(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for dir in [GOLDEN_DIR, "report"] {
+        for dir in [GOLDEN_DIR, REPORT_DIR] {
             let Ok(entries) = std::fs::read_dir(ws.root.join(dir)) else {
                 continue;
             };

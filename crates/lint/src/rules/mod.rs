@@ -26,6 +26,13 @@ pub trait Rule {
     fn check_file(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
     /// Whole-workspace pass (cross-file facts, non-Rust inputs).
     fn check_workspace(&self, _ws: &Workspace, _out: &mut Vec<Finding>) {}
+    /// The non-Rust paths `check_workspace` reads, relative to the
+    /// workspace root. A directory stands for every file directly in
+    /// it. The incremental cache folds their contents into the
+    /// workspace hash, so an edit to one of them re-runs the pass.
+    fn workspace_inputs(&self) -> &'static [&'static str] {
+        &[]
+    }
 }
 
 /// Rule ids reserved for the engine's audits (not `Rule` impls — they

@@ -56,6 +56,35 @@ fn editing_one_file_invalidates_only_that_file() {
 }
 
 #[test]
+fn editing_the_baseline_reruns_the_workspace_pass() {
+    let root = scratch_workspace("lint-cache-baseline");
+    let baseline = root.join("crates/bench/tests/baselines/regress.quick.json");
+    std::fs::create_dir_all(baseline.parent().expect("has a parent")).expect("tmpdir");
+    std::fs::write(&baseline, "{\"g8.epochs\": 1}\n").expect("write");
+    let (cold, _) = lint_workspace_cached(&root).expect("cold run");
+    let (_, warm_stats) = lint_workspace_cached(&root).expect("warm run");
+    assert!(warm_stats.workspace_hit, "an untouched baseline replays");
+
+    // A duplicated key: only the workspace pass can see it, and only if
+    // the edit invalidates the cached workspace findings.
+    std::fs::write(&baseline, "{\"g8.epochs\": 1, \"g8.epochs\": 2}\n").expect("rewrite");
+    let (edited, stats) = lint_workspace_cached(&root).expect("after edit");
+    assert!(!stats.workspace_hit, "a baseline edit re-runs the workspace pass");
+    assert_eq!(stats.file_misses, 0, "no Rust file changed");
+    let duplicate = |findings: &[manytest_lint::diag::Finding]| {
+        findings.iter().any(|f| f.message.contains("duplicate baseline key"))
+    };
+    assert!(!duplicate(&cold.findings));
+    assert!(duplicate(&edited.findings), "fresh finding: {:?}", edited.findings);
+
+    // Removing the input is an edit too.
+    std::fs::remove_file(&baseline).expect("remove");
+    let (removed, stats) = lint_workspace_cached(&root).expect("after removal");
+    assert!(!stats.workspace_hit);
+    assert!(!duplicate(&removed.findings));
+}
+
+#[test]
 fn sarif_and_json_are_byte_identical_cold_vs_warm() {
     let root = scratch_workspace("lint-cache-bytes");
     let (cold, _) = lint_workspace_cached(&root).expect("cold run");

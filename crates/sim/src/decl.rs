@@ -27,7 +27,8 @@
 /// `ROOT_KINDS`, `kind_index`, `cause_required`, `write_json_fields`
 /// (fields in declaration order, each through
 /// [`JsonValue`](crate::obs::JsonValue)) and a [`Wire`](crate::wire::Wire)
-/// codec (the kind index, then each field).
+/// codec (the kind index, then each field). Test builds also get the
+/// `Display`-based field oracle and a random-event sampler.
 #[macro_export]
 macro_rules! event_enum {
     (@root) => { false };
@@ -85,20 +86,51 @@ macro_rules! event_enum {
             }
 
             /// Appends the per-variant payload fields (each preceded by
-            /// a comma, no braces) to `out` in one formatted write — the
-            /// shared tail of [`Self::write_json`] and
+            /// a comma, no braces) to `out`: each key as one literal,
+            /// each value through [`JsonValue`](crate::obs::JsonValue) —
+            /// the tail of
             /// [`EventRecord::write_json`](crate::obs::EventRecord::write_json).
-            pub fn write_json_fields(&self, out: &mut String) {
+            pub fn write_json_fields(
+                &self,
+                r: &mut $crate::obs::JsonRenderer,
+                out: &mut String,
+            ) {
+                match *self {
+                    $(Self::$variant { $($field),* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $crate::obs::JsonValue::push_json(&$field, r, out);
+                        )*
+                    })+
+                }
+            }
+
+            /// Test oracle: the payload fields through one `write!` of
+            /// `Display` values, the rendering `write_json_fields`
+            /// replaced.
+            #[cfg(test)]
+            pub(crate) fn write_json_fields_oracle(&self, out: &mut String) {
                 use std::fmt::Write as _;
                 match *self {
                     $(Self::$variant { $($field),* } => {
                         let _ = write!(
                             out,
                             concat!($(",\"", stringify!($field), "\":{}"),*),
-                            $($crate::obs::Json(&$field)),*
+                            $($crate::obs::json_oracle::Json(&$field)),*
                         );
                     })+
                 }
+            }
+
+            /// Test input: an event of a uniformly drawn kind, every
+            /// field drawn by [`Sample`](crate::obs::json_oracle::Sample).
+            #[cfg(test)]
+            pub(crate) fn sample(rng: &mut $crate::rng::SimRng) -> Self {
+                use $crate::obs::json_oracle::Sample;
+                let kinds: [fn(&mut $crate::rng::SimRng) -> Self; Self::KIND_COUNT] = [
+                    $(|rng| Self::$variant { $($field: <$ty>::sample(rng)),* }),+
+                ];
+                kinds[rng.gen_range(Self::KIND_COUNT as u64) as usize](rng)
             }
         }
 
@@ -173,8 +205,24 @@ macro_rules! indexed_enum {
         }
 
         impl $crate::obs::JsonValue for $name {
+            fn push_json(&self, _: &mut $crate::obs::JsonRenderer, out: &mut String) {
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::obs::json_oracle::JsonDisplay for $name {
             fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(f, "\"{}\"", self.as_str())
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::obs::json_oracle::Sample for $name {
+            fn sample(rng: &mut $crate::rng::SimRng) -> Self {
+                Self::ALL[rng.gen_range(Self::COUNT as u64) as usize]
             }
         }
 

@@ -21,7 +21,7 @@
 //! JSON is rendered only inside sinks that asked for it.
 
 use crate::stats::Histogram;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{Decimal, Wire, WireError, WireReader, WireWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -39,32 +39,120 @@ indexed_enum! {
     }
 }
 
-/// How a [`SimEvent`] payload field renders as a JSON value: numbers
-/// through `Display` (Rust's shortest round-trip form for floats),
+/// How a [`SimEvent`] payload field renders as a JSON value: integers
+/// in decimal, floats as Rust's shortest round-trip `Display` text,
 /// [`indexed_enum!`](crate::indexed_enum) names quoted.
 pub trait JsonValue {
-    /// Writes the value's JSON text.
-    fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result;
+    /// Appends the value's JSON text to `out` (floats through `r`'s memo).
+    fn push_json(&self, r: &mut JsonRenderer, out: &mut String);
 }
 
-macro_rules! json_number {
+/// Appends ASCII bytes to `out`, one `char` each: no UTF-8 validation
+/// pass and no temporary `String`.
+fn push_ascii(out: &mut String, bytes: &[u8]) {
+    for &b in bytes {
+        out.push(char::from(b));
+    }
+}
+
+/// Appends `v` in decimal, the text `Display` gives.
+fn push_u64(out: &mut String, v: u64) {
+    push_ascii(out, Decimal::new(v).as_bytes());
+}
+
+macro_rules! json_unsigned {
     ($($t:ty),*) => {$(
         impl JsonValue for $t {
-            fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                std::fmt::Display::fmt(self, f)
+            fn push_json(&self, _: &mut JsonRenderer, out: &mut String) {
+                push_u64(out, u64::from(*self));
             }
         }
     )*};
 }
-json_number!(u64, u32, u16, u8, i16, f64);
+json_unsigned!(u64, u32, u16, u8);
 
-/// `Display` adapter that renders a [`JsonValue`].
+impl JsonValue for i16 {
+    fn push_json(&self, _: &mut JsonRenderer, out: &mut String) {
+        if *self < 0 {
+            out.push('-');
+        }
+        push_u64(out, u64::from(self.unsigned_abs()));
+    }
+}
+
+impl JsonValue for f64 {
+    fn push_json(&self, r: &mut JsonRenderer, out: &mut String) {
+        r.f64(*self, out);
+    }
+}
+
+/// Slots in a [`JsonRenderer`]'s float memo (direct-mapped).
+const FLOAT_MEMO_SLOTS: usize = 256;
+
+/// Longest float text a memo slot holds. `Display` never uses an
+/// exponent, so extreme magnitudes (`1e-300` prints 302 characters)
+/// are rendered afresh every time instead of being memoised.
+const FLOAT_TEXT_MAX: usize = 31;
+
+/// One memo slot: a float's bits and its `Display` text.
 #[derive(Debug, Clone, Copy)]
-pub struct Json<'a, T: ?Sized>(pub &'a T);
+struct FloatText {
+    bits: u64,
+    len: u8,
+    text: [u8; FLOAT_TEXT_MAX],
+}
 
-impl<T: JsonValue + ?Sized> std::fmt::Display for Json<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt_json(f)
+/// The JSON renderer every JSONL sink shares: [`EventLog::to_jsonl`],
+/// [`EventLog::write_jsonl`] and [`JsonlWriter`] each own one for the
+/// whole stream. Keys, integers and names are pushed straight into the
+/// output; a float's `Display` text is memoised by its bit pattern in a
+/// small direct-mapped table. `Display` for `f64` is a pure function of
+/// the bits, so a memo hit yields exactly the bytes `{}` would — and
+/// most records repeat a recent value (a timestamp shared with the
+/// record before, a headroom or power level).
+#[derive(Debug)]
+pub struct JsonRenderer {
+    memo: Box<[FloatText]>,
+}
+
+impl Default for JsonRenderer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl JsonRenderer {
+    /// A renderer with an empty memo.
+    pub fn new() -> Self {
+        // Every slot starts as the entry for +0.0 (bits 0, text "0"), so
+        // each slot holds a true (bits, text) pair from the start.
+        let zero = FloatText {
+            bits: 0,
+            len: 1,
+            text: [b'0'; FLOAT_TEXT_MAX],
+        };
+        JsonRenderer {
+            memo: vec![zero; FLOAT_MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// Appends `v`'s `Display` text (Rust's shortest round-trip form).
+    pub fn f64(&mut self, v: f64, out: &mut String) {
+        let bits = v.to_bits();
+        // Fibonacci hashing: the top byte of the product mixes every bit.
+        let slot = &mut self.memo[(bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize];
+        if slot.bits == bits {
+            push_ascii(out, &slot.text[..usize::from(slot.len)]);
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        let text = &out.as_bytes()[start..];
+        if text.len() <= FLOAT_TEXT_MAX {
+            slot.bits = bits;
+            slot.len = text.len() as u8;
+            slot.text[..text.len()].copy_from_slice(text);
+        }
     }
 }
 
@@ -293,17 +381,6 @@ impl SimEvent {
     pub fn kind(&self) -> &'static str {
         Self::KINDS[self.kind_index()]
     }
-
-    /// Appends this event as one JSON object (no trailing newline) to
-    /// `out`. Floats use Rust's shortest-round-trip `Display`, which is
-    /// deterministic, so identical runs render byte-identical JSON.
-    // lint:effect(alloc, reason = "renders into the caller's String buffer — write! to String is an append, not I/O; callers reuse the buffer across epochs")
-    pub fn write_json(&self, t: f64, out: &mut String) {
-        let kind = self.kind();
-        let _ = write!(out, "{{\"t\":{t},\"kind\":\"{kind}\"");
-        self.write_json_fields(out);
-        out.push('}');
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -456,15 +533,24 @@ wire_record! {
 impl EventRecord {
     /// Appends this record as one JSON object (no trailing newline):
     /// `{"t":…,"id":…[,"cause":…,"link":"…"],"kind":"…",fields}`.
-    /// Deterministic byte-for-byte, like [`SimEvent::write_json`].
-    // lint:effect(alloc, reason = "renders into the caller's String buffer — write! to String is an append, not I/O; callers reuse the buffer across epochs")
-    pub fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"t\":{},\"id\":{}", self.t, self.id.0);
+    /// Floats use Rust's shortest-round-trip `Display`, which is
+    /// deterministic, so identical runs render byte-identical JSON.
+    // lint:effect(alloc, reason = "renders into the caller's String buffer — pushes append, not I/O; callers reuse the buffer across epochs")
+    pub fn write_json(&self, r: &mut JsonRenderer, out: &mut String) {
+        out.push_str("{\"t\":");
+        r.f64(self.t, out);
+        out.push_str(",\"id\":");
+        push_u64(out, self.id.0);
         if let Some(link) = self.cause {
-            let _ = write!(out, ",\"cause\":{},\"link\":\"{}\"", link.id.0, link.kind.as_str());
+            out.push_str(",\"cause\":");
+            push_u64(out, link.id.0);
+            out.push_str(",\"link\":");
+            link.kind.push_json(r, out);
         }
-        let _ = write!(out, ",\"kind\":\"{}\"", self.ev.kind());
-        self.ev.write_json_fields(out);
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.ev.kind());
+        out.push('"');
+        self.ev.write_json_fields(r, out);
         out.push('}');
     }
 }
@@ -697,8 +783,9 @@ impl EventLog {
     /// carrying each record's id and cause link.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
+        let mut render = JsonRenderer::new();
         for rec in &self.events {
-            rec.write_json(&mut out);
+            rec.write_json(&mut render, &mut out);
             out.push('\n');
         }
         out
@@ -711,9 +798,10 @@ impl EventLog {
     /// Propagates the first I/O error from the writer.
     pub fn write_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         let mut line = String::with_capacity(128);
+        let mut render = JsonRenderer::new();
         for rec in &self.events {
             line.clear();
-            rec.write_json(&mut line);
+            rec.write_json(&mut render, &mut line);
             line.push('\n');
             w.write_all(line.as_bytes())?;
         }
@@ -755,6 +843,7 @@ impl Observer for EventLog {
 pub struct JsonlWriter<W: io::Write> {
     inner: Option<W>,
     line: String,
+    render: JsonRenderer,
     error: Option<io::Error>,
 }
 
@@ -764,6 +853,7 @@ impl<W: io::Write> JsonlWriter<W> {
         JsonlWriter {
             inner: Some(inner),
             line: String::with_capacity(128),
+            render: JsonRenderer::new(),
             error: None,
         }
     }
@@ -831,7 +921,9 @@ impl<W: io::Write> JsonlWriter<W> {
             return;
         }
         self.line.clear();
-        let _ = write!(self.line, "{{\"t\":{t},\"note\":");
+        self.line.push_str("{\"t\":");
+        self.render.f64(t, &mut self.line);
+        self.line.push_str(",\"note\":");
         write_json_str(&mut self.line, text);
         self.line.push_str("}\n");
         if let Err(e) = w.write_all(self.line.as_bytes()) {
@@ -847,7 +939,7 @@ impl<W: io::Write> Observer for JsonlWriter<W> {
             return;
         }
         self.line.clear();
-        rec.write_json(&mut self.line);
+        rec.write_json(&mut self.render, &mut self.line);
         self.line.push('\n');
         if let Err(e) = w.write_all(self.line.as_bytes()) {
             self.error = Some(e);
@@ -1475,6 +1567,120 @@ impl Wire for EventLog {
     }
 }
 
+/// Test oracle for the JSON renderer: the `write!`/`Display` rendering
+/// [`JsonRenderer`] replaced, and random inputs to compare the two on.
+#[cfg(test)]
+pub(crate) mod json_oracle {
+    use super::EventRecord;
+    use crate::rng::SimRng;
+    use std::fmt::Write as _;
+
+    /// How a payload field rendered before: through `Display`.
+    pub trait JsonDisplay {
+        fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result;
+    }
+
+    macro_rules! json_display {
+        ($($t:ty),*) => {$(
+            impl JsonDisplay for $t {
+                fn fmt_json(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                    std::fmt::Display::fmt(self, f)
+                }
+            }
+        )*};
+    }
+    json_display!(u64, u32, u16, u8, i16, f64);
+
+    /// `Display` adapter over a [`JsonDisplay`] value.
+    pub struct Json<'a, T: ?Sized>(pub &'a T);
+
+    impl<T: JsonDisplay + ?Sized> std::fmt::Display for Json<'_, T> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.0.fmt_json(f)
+        }
+    }
+
+    /// The old `EventRecord::write_json`: one `write!` per segment.
+    pub fn write_record(rec: &EventRecord, out: &mut String) {
+        let _ = write!(out, "{{\"t\":{},\"id\":{}", rec.t, rec.id.0);
+        if let Some(link) = rec.cause {
+            let _ = write!(
+                out,
+                ",\"cause\":{},\"link\":\"{}\"",
+                link.id.0,
+                link.kind.as_str()
+            );
+        }
+        let _ = write!(out, ",\"kind\":\"{}\"", rec.ev.kind());
+        rec.ev.write_json_fields_oracle(out);
+        out.push('}');
+    }
+
+    /// Floats whose text or bits are easy to get wrong: signed zeros,
+    /// NaN payloads, infinities, subnormals, and magnitudes whose
+    /// `Display` text is longer than a memo slot (`1e-300` and `f64::MAX`
+    /// print hundreds of digits).
+    pub const EDGE_F64: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        -5e-324,
+        2.225073858507201e-308,
+        1e-300,
+        -1e300,
+        f64::MAX,
+        0.1 + 0.2,
+        1e-7,
+        -1.0,
+        0.000_012_345_678_901_234_567,
+    ];
+
+    /// A random value of a payload field's type.
+    pub trait Sample {
+        fn sample(rng: &mut SimRng) -> Self;
+    }
+
+    macro_rules! sample_unsigned {
+        ($($t:ty),*) => {$(
+            impl Sample for $t {
+                fn sample(rng: &mut SimRng) -> Self {
+                    match rng.gen_range(4) {
+                        0 => [0, 1, <$t>::MAX - 1, <$t>::MAX][rng.gen_range(4) as usize],
+                        _ => (rng.next_u64() >> rng.gen_range(64)) as $t,
+                    }
+                }
+            }
+        )*};
+    }
+    sample_unsigned!(u64, u32, u16, u8);
+
+    impl Sample for i16 {
+        fn sample(rng: &mut SimRng) -> Self {
+            match rng.gen_range(4) {
+                0 => [0, -1, 1, i16::MIN, i16::MAX][rng.gen_range(5) as usize],
+                _ => rng.next_u64() as i16 >> rng.gen_range(16),
+            }
+        }
+    }
+
+    impl Sample for f64 {
+        /// Edge values, a 600-value pool (more values than memo slots,
+        /// so the memo both hits and evicts), or arbitrary bits (NaN
+        /// payloads and subnormals included).
+        fn sample(rng: &mut SimRng) -> Self {
+            match rng.gen_range(4) {
+                0 => EDGE_F64[rng.gen_range(EDGE_F64.len() as u64) as usize],
+                1 => f64::from_bits(rng.next_u64()),
+                _ => rng.gen_range(600) as f64 * 0.001_7,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1724,7 +1930,7 @@ mod tests {
             ev: SimEvent::CoreSuspected { core: 4, level: 2 },
         };
         let mut out = String::new();
-        rec.write_json(&mut out);
+        rec.write_json(&mut JsonRenderer::new(), &mut out);
         assert_eq!(
             out,
             "{\"t\":0.25,\"id\":7,\"cause\":3,\"link\":\"detection\",\
@@ -1739,10 +1945,53 @@ mod tests {
             ev: SimEvent::FaultActivated { core: 1 },
         };
         let mut out = String::new();
-        root.write_json(&mut out);
+        root.write_json(&mut JsonRenderer::new(), &mut out);
         assert_eq!(out, "{\"t\":0.5,\"id\":0,\"kind\":\"FaultActivated\",\"core\":1}");
         let counts = jsonl_kind_counts(&out);
         assert_eq!(counts.get("FaultActivated"), Some(&1));
+    }
+
+    #[test]
+    fn rendered_json_matches_the_display_oracle_on_random_records() {
+        use json_oracle::Sample;
+        let mut rng = crate::rng::SimRng::seed_from(0x15_0b5e);
+        // One renderer across the whole stream, as the sinks use it: memo
+        // hits, evictions and over-long texts all occur.
+        let mut render = JsonRenderer::new();
+        let (mut got, mut want) = (String::new(), String::new());
+        let mut t = 0.0;
+        for i in 0..30_000u64 {
+            // Mostly shared or advancing timestamps, as in a real stream.
+            t = match rng.gen_range(8) {
+                0..=4 => t,
+                5 | 6 => t + rng.gen_f64_range(0.0, 1e-3),
+                _ => f64::sample(&mut rng),
+            };
+            let id = if i % 1000 == 999 { u64::MAX } else { i };
+            let cause = rng.gen_bool(0.7).then(|| {
+                CauseLink::new(CauseKind::sample(&mut rng), EventId(u64::sample(&mut rng)))
+            });
+            let rec = EventRecord {
+                id: EventId(id),
+                t,
+                cause,
+                ev: SimEvent::sample(&mut rng),
+            };
+            rec.write_json(&mut render, &mut got);
+            json_oracle::write_record(&rec, &mut want);
+            got.push('\n');
+            want.push('\n');
+        }
+        assert_eq!(got, want);
+        // Edge floats alone, twice each (the second render is a memo hit
+        // when the text fits a slot, a fresh render when it does not).
+        let (mut got, mut want) = (String::new(), String::new());
+        for v in json_oracle::EDGE_F64.iter().chain(&json_oracle::EDGE_F64) {
+            render.f64(*v, &mut got);
+            got.push(' ');
+            let _ = write!(want, "{v} ");
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

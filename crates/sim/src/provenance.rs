@@ -14,12 +14,26 @@
 //!   attributable to a fault root (sum of detection latencies reached
 //!   from it).
 //!
-//! The graph borrows the record slice; building it is a single pass plus
-//! one adjacency allocation, so `repro` subcommands can rebuild it per
-//! invocation without caching.
+//! The graph borrows the record slice. Building it is two passes over
+//! the records: id lookup is a slot computation when the ids are
+//! gapless (every unsaturated log, and every prefix a saturated one
+//! keeps), and the forward adjacency is one flat CSR pair (offsets and
+//! child slots). `repro` subcommands and the audit can therefore
+//! rebuild it per invocation without caching.
 
 use crate::obs::{CauseKind, EventId, EventRecord, SimEvent};
 use std::collections::BTreeMap;
+
+/// How an [`EventId`] resolves to a slot of the record slice.
+#[derive(Debug)]
+enum SlotIndex {
+    /// `records[k].id == first + k` for every `k`: the slot is
+    /// `id - first`.
+    Gapless { first: u64 },
+    /// Any other stream (gapped, reordered or duplicated ids): id → slot
+    /// of the last record carrying it.
+    Map(BTreeMap<u64, usize>),
+}
 
 /// A provenance DAG over a borrowed record slice.
 ///
@@ -29,32 +43,82 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct ProvenanceGraph<'a> {
     records: &'a [EventRecord],
-    /// id → slot in `records`.
-    index_of: BTreeMap<u64, usize>,
-    /// slot → slots of records it directly caused, in emission order.
-    children: Vec<Vec<usize>>,
+    index: SlotIndex,
+    /// CSR offsets: the children of slot `s` are
+    /// `child_slots[child_start[s]..child_start[s + 1]]`.
+    child_start: Vec<usize>,
+    /// Slots of the records each slot directly caused, grouped by
+    /// parent, each group in emission order.
+    child_slots: Vec<usize>,
 }
 
 impl<'a> ProvenanceGraph<'a> {
-    /// Builds the graph in one pass over `records`.
+    /// Builds the graph in two passes over `records`: one counts each
+    /// parent's children, the other places them.
     pub fn build(records: &'a [EventRecord]) -> Self {
-        let mut index_of = BTreeMap::new();
-        for (slot, rec) in records.iter().enumerate() {
-            index_of.insert(rec.id.0, slot);
-        }
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
-        for (slot, rec) in records.iter().enumerate() {
-            if let Some(link) = rec.cause {
-                if let Some(&parent) = index_of.get(&link.id.0) {
-                    children[parent].push(slot);
-                }
+        let first = records.first().map_or(0, |r| r.id.0);
+        let gapless = records
+            .iter()
+            .zip(0u64..)
+            .all(|(rec, k)| first.checked_add(k) == Some(rec.id.0));
+        let index = if gapless {
+            SlotIndex::Gapless { first }
+        } else {
+            let mut index_of = BTreeMap::new();
+            for (slot, rec) in records.iter().enumerate() {
+                index_of.insert(rec.id.0, slot);
+            }
+            SlotIndex::Map(index_of)
+        };
+        let mut graph = ProvenanceGraph {
+            records,
+            index,
+            child_start: vec![0; records.len() + 1],
+            child_slots: Vec::new(),
+        };
+        // child_start[p] counts p's children, then becomes the end of
+        // p's range; placing children back to front leaves it at the
+        // start, with each range in emission order.
+        for rec in records {
+            if let Some(parent) = graph.parent_slot(rec) {
+                graph.child_start[parent] += 1;
             }
         }
-        ProvenanceGraph {
-            records,
-            index_of,
-            children,
+        let mut end = 0;
+        for count in &mut graph.child_start {
+            end += *count;
+            *count = end;
         }
+        graph.child_slots = vec![0; end];
+        for (slot, rec) in records.iter().enumerate().rev() {
+            if let Some(parent) = graph.parent_slot(rec) {
+                graph.child_start[parent] -= 1;
+                graph.child_slots[graph.child_start[parent]] = slot;
+            }
+        }
+        graph
+    }
+
+    /// Slot of the record carrying `id`.
+    fn slot(&self, id: EventId) -> Option<usize> {
+        match &self.index {
+            SlotIndex::Gapless { first } => id
+                .0
+                .checked_sub(*first)
+                .and_then(|k| usize::try_from(k).ok())
+                .filter(|&k| k < self.records.len()),
+            SlotIndex::Map(index_of) => index_of.get(&id.0).copied(),
+        }
+    }
+
+    /// Slot of the record `rec`'s cause link resolves to.
+    fn parent_slot(&self, rec: &EventRecord) -> Option<usize> {
+        rec.cause.and_then(|link| self.slot(link.id))
+    }
+
+    /// The slots `slot` directly caused, in emission order.
+    fn children(&self, slot: usize) -> &[usize] {
+        &self.child_slots[self.child_start[slot]..self.child_start[slot + 1]]
     }
 
     /// The underlying record slice.
@@ -65,7 +129,7 @@ impl<'a> ProvenanceGraph<'a> {
     /// Looks up a record by id (`None` when the id was never stored —
     /// e.g. decimated away by log saturation).
     pub fn record(&self, id: EventId) -> Option<&'a EventRecord> {
-        self.index_of.get(&id.0).map(|&slot| &self.records[slot])
+        self.slot(id).map(|slot| &self.records[slot])
     }
 
     /// The causal chain from `id` back to its root, effect first. The
@@ -82,21 +146,37 @@ impl<'a> ProvenanceGraph<'a> {
         chain
     }
 
+    /// The last element of [`Self::chain_to_root`] — the deepest
+    /// resolvable ancestor of `id`, or the event itself — found without
+    /// collecting the chain. `None` when `id` is unknown, or when its
+    /// cause links loop, which only a stream with a link to a later id
+    /// can do (at most one step per record is walked).
+    pub fn root_of(&self, id: EventId) -> Option<&'a EventRecord> {
+        let mut rec = self.record(id)?;
+        for _ in 0..self.records.len() {
+            match rec.cause.and_then(|link| self.record(link.id)) {
+                Some(parent) => rec = parent,
+                None => return Some(rec),
+            }
+        }
+        None
+    }
+
     /// Everything `id` transitively caused (excluding itself), in
     /// emission order. Empty when `id` is unknown or caused nothing.
     pub fn consequences(&self, id: EventId) -> Vec<&'a EventRecord> {
-        let Some(&start) = self.index_of.get(&id.0) else {
+        let Some(start) = self.slot(id) else {
             return Vec::new();
         };
         let mut slots = Vec::new();
         let mut frontier = vec![start];
         while let Some(slot) = frontier.pop() {
-            for &child in &self.children[slot] {
+            for &child in self.children(slot) {
                 slots.push(child);
                 frontier.push(child);
             }
         }
-        // Ids are monotone in emission order, so sorting slots restores it.
+        // Slots are emission order, so sorting them restores it.
         slots.sort_unstable();
         slots.dedup();
         slots.iter().map(|&s| &self.records[s]).collect()
@@ -141,7 +221,7 @@ impl<'a> ProvenanceGraph<'a> {
 
     /// Number of resolvable cause links (graph edges).
     pub fn edge_count(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
+        self.child_slots.len()
     }
 
     /// Per-link-kind counts of every cause link carried by the records
@@ -298,6 +378,177 @@ mod tests {
         let links = graph.link_kind_counts();
         assert_eq!(links.iter().sum::<u64>(), 4);
         assert_eq!(links[CauseKind::Quarantine.index()], 1);
+    }
+
+    /// The graph [`ProvenanceGraph`] replaced — a `BTreeMap` id index
+    /// and one `Vec` of children per record — kept as the differential
+    /// oracle.
+    struct OracleGraph<'a> {
+        records: &'a [EventRecord],
+        index_of: BTreeMap<u64, usize>,
+        children: Vec<Vec<usize>>,
+    }
+
+    impl<'a> OracleGraph<'a> {
+        fn build(records: &'a [EventRecord]) -> Self {
+            let mut index_of = BTreeMap::new();
+            for (slot, rec) in records.iter().enumerate() {
+                index_of.insert(rec.id.0, slot);
+            }
+            let mut children: Vec<Vec<usize>> = vec![Vec::new(); records.len()];
+            for (slot, rec) in records.iter().enumerate() {
+                if let Some(link) = rec.cause {
+                    if let Some(&parent) = index_of.get(&link.id.0) {
+                        children[parent].push(slot);
+                    }
+                }
+            }
+            OracleGraph { records, index_of, children }
+        }
+
+        fn record(&self, id: EventId) -> Option<&'a EventRecord> {
+            self.index_of.get(&id.0).map(|&slot| &self.records[slot])
+        }
+
+        fn chain_to_root(&self, id: EventId) -> Vec<&'a EventRecord> {
+            let mut chain = Vec::new();
+            let mut cursor = self.record(id);
+            while let Some(rec) = cursor {
+                chain.push(rec);
+                cursor = rec.cause.and_then(|link| self.record(link.id));
+            }
+            chain
+        }
+
+        fn consequences(&self, id: EventId) -> Vec<&'a EventRecord> {
+            let Some(&start) = self.index_of.get(&id.0) else {
+                return Vec::new();
+            };
+            let mut slots = Vec::new();
+            let mut frontier = vec![start];
+            while let Some(slot) = frontier.pop() {
+                for &child in &self.children[slot] {
+                    slots.push(child);
+                    frontier.push(child);
+                }
+            }
+            slots.sort_unstable();
+            slots.dedup();
+            slots.iter().map(|&s| &self.records[s]).collect()
+        }
+
+        fn edge_count(&self) -> usize {
+            self.children.iter().map(Vec::len).sum()
+        }
+    }
+
+    /// A random record stream of one of three shapes:
+    /// * 0 — gapless ids from a random base (up to `u64::MAX`);
+    /// * 1 — the same with records dropped, as a gapped sample;
+    /// * 2 — unordered ids with duplicates.
+    ///
+    /// Every cause link targets a smaller id (present or not), so every
+    /// chain ends and the oracle's walks terminate.
+    fn random_stream(rng: &mut crate::rng::SimRng, shape: u64) -> Vec<EventRecord> {
+        let n = 1 + rng.gen_range(300);
+        let first = match rng.gen_range(3) {
+            0 => 0,
+            1 => rng.next_u64() >> 8,
+            _ => u64::MAX - (n - 1),
+        };
+        let mut ids: Vec<u64> = match shape {
+            2 => (0..n).map(|_| first + rng.gen_range(n)).collect(),
+            _ => (0..n).map(|k| first + k).collect(),
+        };
+        if shape == 2 {
+            rng.shuffle(&mut ids);
+        }
+        let mut records: Vec<EventRecord> = ids
+            .iter()
+            .map(|&id| {
+                let cause = (id > 0 && rng.gen_bool(0.8)).then(|| {
+                    let below = id - first.min(id);
+                    let target = if below > 0 && rng.gen_bool(0.9) {
+                        id - 1 - rng.gen_range(below.min(8))
+                    } else {
+                        rng.gen_range(id)
+                    };
+                    CauseLink::new(CauseKind::ALL[0], EventId(target))
+                });
+                EventRecord {
+                    id: EventId(id),
+                    t: 0.0,
+                    cause,
+                    ev: SimEvent::sample(rng),
+                }
+            })
+            .collect();
+        if shape == 1 {
+            records.retain(|_| rng.gen_bool(0.7));
+        }
+        records
+    }
+
+    #[test]
+    fn graph_matches_the_btree_oracle_on_random_streams() {
+        let mut rng = crate::rng::SimRng::seed_from(0x9a9b);
+        let ptrs = |v: Vec<&EventRecord>| -> Vec<*const EventRecord> {
+            v.into_iter().map(|r| r as *const _).collect()
+        };
+        for round in 0..600 {
+            let records = random_stream(&mut rng, round % 3);
+            let graph = ProvenanceGraph::build(&records);
+            let oracle = OracleGraph::build(&records);
+            assert_eq!(graph.edge_count(), oracle.edge_count(), "round {round}");
+            let probes = records
+                .iter()
+                .map(|r| r.id)
+                .chain((0..8).map(|_| EventId(rng.next_u64())))
+                .chain([EventId(0), EventId(u64::MAX)]);
+            for id in probes {
+                assert_eq!(
+                    graph.record(id).map(|r| r as *const EventRecord),
+                    oracle.record(id).map(|r| r as *const EventRecord),
+                    "round {round} record {id}"
+                );
+                let chain = oracle.chain_to_root(id);
+                assert_eq!(
+                    graph.root_of(id).map(|r| r as *const EventRecord),
+                    chain.last().map(|&r| r as *const EventRecord),
+                    "round {round} root of {id}"
+                );
+                assert_eq!(
+                    ptrs(graph.chain_to_root(id)),
+                    ptrs(chain),
+                    "round {round} chain of {id}"
+                );
+                assert_eq!(
+                    ptrs(graph.consequences(id)),
+                    ptrs(oracle.consequences(id)),
+                    "round {round} consequences of {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn root_of_stops_on_a_cause_cycle() {
+        // #1 and #2 cause each other: only a stream with a forward link
+        // can loop, and the audit flags that link on its own.
+        let records: Vec<EventRecord> = [(0, None), (1, Some(2)), (2, Some(1))]
+            .into_iter()
+            .map(|(id, cause)| EventRecord {
+                id: EventId(id),
+                t: 0.0,
+                cause: cause.map(|c| CauseLink::new(CauseKind::Activation, EventId(c))),
+                ev: SimEvent::FaultActivated { core: 0 },
+            })
+            .collect();
+        let graph = ProvenanceGraph::build(&records);
+        assert_eq!(graph.root_of(EventId(0)).map(|r| r.id), Some(EventId(0)));
+        assert!(graph.root_of(EventId(1)).is_none());
+        assert!(graph.root_of(EventId(7)).is_none());
+        assert_eq!(graph.edge_count(), 2);
     }
 
     #[test]

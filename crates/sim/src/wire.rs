@@ -13,7 +13,9 @@
 //! * strings are percent-escaped so the stream stays token-separable.
 //!
 //! The format is a flat whitespace-separated token stream with a
-//! versioned header ([`WIRE_HEADER`]). Decoding is total: any malformed
+//! versioned header ([`WIRE_HEADER`]). [`WireWriter`] writes each token
+//! in place into one byte buffer, so encoding allocates only when that
+//! buffer grows. Decoding is total: any malformed
 //! input yields a [`WireError`], never a panic, because ledger blobs may
 //! be truncated or corrupted on disk and a corrupt cache entry must
 //! degrade to a cache miss.
@@ -48,74 +50,104 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Encoder: appends whitespace-separated tokens to an owned buffer.
+/// Lowercase hex digits, indexed by nibble.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The decimal text of a `u64` (what `to_string` gives), built in a
+/// stack buffer.
+pub(crate) struct Decimal {
+    digits: [u8; 20],
+    at: usize,
+}
+
+impl Decimal {
+    pub(crate) fn new(mut v: u64) -> Self {
+        let mut d = Decimal { digits: [0; 20], at: 20 };
+        loop {
+            d.at -= 1;
+            d.digits[d.at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                return d;
+            }
+        }
+    }
+
+    /// The digits, most significant first (ASCII).
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.digits[self.at..]
+    }
+}
+
+/// Encoder: appends newline-separated tokens to an owned byte buffer.
+/// Every token is written straight into that buffer (decimal digits
+/// from a stack buffer, float bits as 16 nibbles from a hex table,
+/// string escapes in place), so encoding allocates only when the buffer
+/// grows. Every byte written is ASCII.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: String,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
     /// A writer primed with the [`WIRE_HEADER`].
     pub fn new() -> Self {
-        let mut w = WireWriter { buf: String::new() };
-        w.buf.push_str(WIRE_HEADER);
-        w
-    }
-
-    /// Appends one raw token (must contain no whitespace).
-    fn token(&mut self, tok: &str) {
-        debug_assert!(!tok.is_empty() && !tok.contains(char::is_whitespace));
-        self.buf.push('\n');
-        self.buf.push_str(tok);
+        WireWriter { buf: WIRE_HEADER.as_bytes().to_vec() }
     }
 
     /// Appends an unsigned integer token.
     pub fn u64(&mut self, v: u64) {
-        self.token(&v.to_string());
+        self.buf.push(b'\n');
+        self.buf.extend_from_slice(Decimal::new(v).as_bytes());
     }
 
     /// Appends a signed integer token.
     pub fn i64(&mut self, v: i64) {
-        self.token(&v.to_string());
+        self.buf.extend_from_slice(if v < 0 { b"\n-" } else { b"\n" });
+        self.buf.extend_from_slice(Decimal::new(v.unsigned_abs()).as_bytes());
     }
 
-    /// Appends a float as the lowercase hex of its bit pattern.
+    /// Appends a float as the 16 lowercase hex digits of its bit
+    /// pattern, most significant nibble first.
     pub fn f64(&mut self, v: f64) {
-        self.token(&format!("{:016x}", v.to_bits()));
+        let bits = v.to_bits();
+        let mut tok = [b'\n'; 17];
+        for (i, digit) in tok[1..].iter_mut().enumerate() {
+            *digit = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.buf.extend_from_slice(&tok);
     }
 
     /// Appends a bool as `0`/`1`.
     pub fn bool(&mut self, v: bool) {
-        self.token(if v { "1" } else { "0" });
+        self.buf.extend_from_slice(if v { b"\n1" } else { b"\n0" });
     }
 
     /// Appends a string, percent-escaping everything outside
-    /// `[A-Za-z0-9_.-]` so the token stays whitespace-free. The empty
-    /// string is written as a lone `%` (an escape with no digits, which
-    /// no escaped byte produces).
+    /// `[A-Za-z0-9_.-]` so the token stays whitespace-free and ASCII.
+    /// The empty string is written as a lone `%` (an escape with no
+    /// digits, which no escaped byte produces).
     pub fn str(&mut self, s: &str) {
         if s.is_empty() {
-            self.token("%");
+            self.buf.extend_from_slice(b"\n%");
             return;
         }
-        let mut tok = String::with_capacity(s.len());
+        self.buf.push(b'\n');
         for b in s.bytes() {
             match b {
-                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.' | b'-' => {
-                    tok.push(b as char);
-                }
-                _ => {
-                    tok.push('%');
-                    tok.push_str(&format!("{b:02x}"));
-                }
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.' | b'-' => self.buf.push(b),
+                _ => self.buf.extend_from_slice(&[
+                    b'%',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ]),
             }
         }
-        self.token(&tok);
     }
 
     /// The finished stream.
     pub fn finish(self) -> String {
-        self.buf
+        String::from_utf8(self.buf).expect("every token the writer emits is ASCII")
     }
 }
 
@@ -458,6 +490,118 @@ mod tests {
         assert!(decode_from_str::<u64>("manytest-wire 1\n3\n4").is_err());
         // A option tag other than 0/1 is rejected.
         assert!(decode_from_str::<Option<u64>>("manytest-wire 1\n2").is_err());
+    }
+
+    /// The token rendering [`WireWriter`] replaced, one heap `String`
+    /// per token through `to_string`/`format!`: the differential oracle
+    /// for the in-place encoder.
+    mod oracle {
+        pub fn u64(v: u64) -> String {
+            v.to_string()
+        }
+
+        pub fn i64(v: i64) -> String {
+            v.to_string()
+        }
+
+        pub fn f64(v: f64) -> String {
+            format!("{:016x}", v.to_bits())
+        }
+
+        pub fn str(s: &str) -> String {
+            if s.is_empty() {
+                return "%".to_owned();
+            }
+            let mut tok = String::with_capacity(s.len());
+            for b in s.bytes() {
+                match b {
+                    b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_' | b'.' | b'-' => {
+                        tok.push(b as char);
+                    }
+                    _ => {
+                        tok.push('%');
+                        tok.push_str(&format!("{b:02x}"));
+                    }
+                }
+            }
+            tok
+        }
+    }
+
+    /// Floats whose text or bits are easy to get wrong: signed zeros,
+    /// NaN payloads (quiet, signalling, negative), infinities, the
+    /// subnormal range and the extremes.
+    const EDGE_F64_BITS: [u64; 14] = [
+        0,
+        0x8000_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff0_0000_0000_0001,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        1,
+        0x800f_ffff_ffff_ffff,
+        0x0010_0000_0000_0000,
+        0x7fef_ffff_ffff_ffff,
+        0xffef_ffff_ffff_ffff,
+        0x3ff0_0000_0000_0000,
+        0x01a5_6e1f_c2f8_f359,
+    ];
+
+    #[test]
+    fn tokens_match_the_allocating_oracle_on_random_streams() {
+        let mut rng = crate::rng::SimRng::seed_from(0x5eed_0f0e);
+        let pool = [
+            "a", "Z", "9", "_", ".", "-", " ", "%", "/", "\n", "\t", "µ", "温", "\u{0}", "~",
+        ];
+        let mut w = WireWriter::new();
+        let mut want = WIRE_HEADER.to_owned();
+        for round in 0..20_000u64 {
+            let tok = match rng.gen_range(5) {
+                0 => {
+                    let v = match round % 4 {
+                        0 => [0, 1, 9, 10, 99, 100, u64::MAX - 1, u64::MAX, 10u64.pow(19)]
+                            [rng.gen_range(9) as usize],
+                        _ => rng.next_u64() >> rng.gen_range(64),
+                    };
+                    w.u64(v);
+                    oracle::u64(v)
+                }
+                1 => {
+                    let v = match round % 4 {
+                        0 => {
+                            [0, -1, 1, i64::MIN, i64::MIN + 1, i64::MAX][rng.gen_range(6) as usize]
+                        }
+                        _ => (rng.next_u64() as i64) >> rng.gen_range(64),
+                    };
+                    w.i64(v);
+                    oracle::i64(v)
+                }
+                2 => {
+                    let bits = match round % 3 {
+                        0 => EDGE_F64_BITS[rng.gen_range(EDGE_F64_BITS.len() as u64) as usize],
+                        _ => rng.next_u64(),
+                    };
+                    w.f64(f64::from_bits(bits));
+                    oracle::f64(f64::from_bits(bits))
+                }
+                3 => {
+                    let v = rng.gen_bool(0.5);
+                    w.bool(v);
+                    (if v { "1" } else { "0" }).to_owned()
+                }
+                _ => {
+                    let s: String = (0..rng.gen_range(8))
+                        .map(|_| pool[rng.gen_range(pool.len() as u64) as usize])
+                        .collect();
+                    w.str(&s);
+                    oracle::str(&s)
+                }
+            };
+            want.push('\n');
+            want.push_str(&tok);
+        }
+        assert_eq!(w.finish(), want);
     }
 
     #[test]
