@@ -1,27 +1,25 @@
-//! Regenerates every figure/table of the (reconstructed) evaluation.
+//! Regenerates every figure/table of the (reconstructed) evaluation, and
+//! runs single simulations from the command line.
 //!
 //! ```sh
 //! cargo run -p manytest-bench --bin repro --release            # everything
 //! cargo run -p manytest-bench --bin repro --release -- e1 e5   # a subset (e1..e12, a1..a6)
-//! cargo run -p manytest-bench --bin repro --release -- --quick
-//! cargo run -p manytest-bench --bin repro --release -- --jobs 4
-//! cargo run -p manytest-bench --bin repro --release -- e3 --events telemetry/
+//! cargo run -p manytest-bench --bin repro --release -- --quick --jobs 4
 //! cargo run -p manytest-bench --bin repro --release -- explain e3
-//! cargo run -p manytest-bench --bin repro --release -- report e11 --out report/
-//! cargo run -p manytest-bench --bin repro --release -- bench kernels --grids 8,16,32,64
-//! cargo run -p manytest-bench --bin repro --release -- trace e3 --out report/
-//! cargo run -p manytest-bench --bin repro --release -- diff e3 e11
 //! cargo run -p manytest-bench --bin repro --release -- diff e11 --seed2 111
-//! cargo run -p manytest-bench --bin repro --release -- --quick --ledger --progress
-//! cargo run -p manytest-bench --bin repro --release -- runs list
-//! cargo run -p manytest-bench --bin repro --release -- runs show 3
-//! cargo run -p manytest-bench --bin repro --release -- regress --quick
+//! cargo run -p manytest-bench --bin repro --release -- sim --node 16 --rate 800 --faults 10
+//! cargo run -p manytest-bench --bin repro --release -- --help   # every subcommand and flag
 //! ```
+//!
+//! One table-driven parser ([`parse`]) knows the flags of every
+//! subcommand. Unknown flags, unknown experiment ids, flags of another
+//! subcommand and unparsable values exit 2 with usage on stderr before
+//! any simulation starts; `--help` (or `-h`) prints usage to stdout.
 //!
 //! Worker count: `--jobs N` (or `--jobs=N`) > the `MANYTEST_JOBS`
 //! environment variable > the machine's available parallelism. Tables go
 //! to stdout and are byte-identical for every worker count; the timing
-//! footer goes to stderr and `BENCH_repro.json`.
+//! footer goes to stderr.
 //!
 //! `--events DIR` additionally runs one instrumented probe per selected
 //! experiment and writes its decision telemetry to `DIR/<id>.jsonl`,
@@ -42,6 +40,9 @@
 //! the first diverging event with both causal chains, then the
 //! downstream per-kind and aggregate drift. Identical runs print an
 //! explicit zero-divergence verdict (CI's self-diff gate).
+//! `sim` runs one freely configured simulation and prints its report;
+//! with `--trace-csv` the epoch traces go to stdout as CSV and the
+//! report to stderr.
 //!
 //! `--ledger` (or `--ledger=DIR`, or the `MANYTEST_LEDGER_DIR`
 //! environment variable) switches on the run ledger: every simulation
@@ -67,13 +68,487 @@ use manytest_bench::runner::{
     default_jobs, job_stats, jobs_executed, panic_message, Batch, JobStats,
 };
 use manytest_bench::trace::{run_trace, write_trace_file};
-use manytest_bench::{ledger, progress, regress};
 use manytest_bench::*;
-use manytest_core::Report;
+use manytest_bench::{ledger, progress, regress};
+use manytest_core::prelude::*;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
-/// Per-experiment timing record for `BENCH_repro.json`.
+const USAGE: &str = "\
+repro — regenerate the DATE 2015 power-aware online testing evaluation
+
+USAGE:
+    repro [IDS...] [--events DIR] [RUN]      tables (no ids = all: e1..e12, a1..a6)
+    repro explain <ID> [RUN]                 decision timeline of one probe
+    repro report <ID> [--out DIR] [RUN]      HTML report + metrics.prom
+    repro trace <ID> [--out DIR] [RUN]       Perfetto/Chrome trace
+    repro diff <ID> [<ID> | --seed2 S] [RUN] first divergence of two runs
+    repro runs <list [--failed] | show <REF> | gc> [--ledger[=DIR]]
+    repro regress [--inject-drift] [RUN]     numeric baseline gate
+    repro bench kernels [--grids N,N] [RUN]  control-loop scaling sweep
+    repro stall-demo [RUN]                   stall watchdog fixture
+    repro sim [SIM]                          one configurable simulation
+    repro --help
+
+RUN:
+    --quick                     short horizons
+    --jobs <N>                  workers [default: MANYTEST_JOBS, else all cores]
+    --ledger[=DIR]              record and replay runs [default DIR: runs]
+    --progress                  heartbeat frames on stderr
+
+SIM:
+    --node <45|32|22|16>        technology node            [default: 16]
+    --rate <APPS_PER_SEC>       application arrival rate   [default: 500]
+    --ms <MILLISECONDS>         simulated horizon          [default: 300]
+    --seed <SEED>               RNG seed                   [default: 1]
+    --no-test                   disable online testing
+    --governor <pid|naive|fixed> power governor            [default: pid]
+    --mapper <tum|baseline>     runtime mapper             [default: tum]
+    --faults <N>                inject N latent faults     [default: 0]
+    --windowed-faults <FRAC>    fraction of faults that are V/f dependent
+    --intrusive                 tests preempt tasks (ablation)
+    --trace-csv                 dump epoch traces as CSV on stdout
+";
+
+/// The flags every simulating subcommand accepts (`+run` below).
+const RUN: &str = "--quick --jobs= --ledger[=] --progress";
+
+/// Each subcommand (`""` is the experiment sweep) with the flags it
+/// accepts: `--x=` takes a value (`--x V` or `--x=V`), `--x[=]` an
+/// optional inline one, a bare `--x` none.
+const SUBCOMMANDS: [(&str, &str); 10] = [
+    ("", "+run --events="),
+    ("explain", "+run"),
+    ("report", "+run --out="),
+    ("trace", "+run --out="),
+    ("diff", "+run --seed2="),
+    ("runs", "--ledger[=] --failed"),
+    ("regress", "+run --inject-drift"),
+    ("bench", "+run --grids="),
+    ("stall-demo", "+run"),
+    ("sim", SIM),
+];
+const SIM: &str = "--node= --rate= --ms= --seed= --no-test --governor= --mapper= --faults= \
+                   --windowed-faults= --intrusive --trace-csv";
+
+/// An experiment id with the function that runs and prints it.
+type Experiment = (&'static str, fn(Scale, usize));
+
+/// The sweep. Ids equal [`PROBE_IDS`], in the same order.
+const EXPERIMENTS: [Experiment; 18] = [
+    ("e1", |s, j| print_e1(&e1_tech_sweep(s, j))),
+    ("e2", |s, j| print_e2(&e2_power_trace(s, j))),
+    ("e3", |s, j| print_e3(&e3_test_power_share(s, j))),
+    ("e4", |s, j| print_e4(&e4_test_interval_vs_load(s, j))),
+    ("e5", |s, j| print_e5(&e5_mapping_compare(s, j))),
+    ("e6", |s, j| print_e6(&e6_criticality_adaptation(s, j))),
+    ("e7", |s, j| print_e7(&e7_vf_coverage(s, j))),
+    ("e8", |s, j| print_e8(&e8_pid_vs_naive(s, j))),
+    ("e9", |s, j| print_e9(&e9_dark_silicon(s, j))),
+    ("e10", |s, j| print_e10(&e10_lifetime(s, j))),
+    ("e11", |s, j| print_e11(&e11_fault_response(s, j))),
+    ("e12", |s, j| print_e12(&e12_core_lifecycle(s, j))),
+    ("a1", |s, j| print_a1(&a1_intrusiveness(s, j))),
+    ("a2", |s, j| print_a2(&a2_criticality_weights(s, j))),
+    ("a3", |s, j| print_a3(&a3_abort_overhead(s, j))),
+    ("a4", |s, j| print_a4(&a4_level_rotation(s, j))),
+    ("a5", |s, j| print_a5(&a5_thermal_model(s, j))),
+    ("a6", |s, j| print_a6(&a6_contention(s, j))),
+];
+
+/// A rejected command line: the reason, printed above the usage.
+#[derive(Debug)]
+struct Usage(String);
+
+/// A parsed command line.
+#[derive(Debug, Default)]
+struct Command {
+    action: Action,
+    quick: bool,
+    /// `None` defers to `MANYTEST_JOBS` / available parallelism.
+    jobs: Option<NonZeroUsize>,
+    /// `--ledger[=DIR]`; `None` defers to `MANYTEST_LEDGER_DIR`.
+    ledger: Option<PathBuf>,
+    progress: bool,
+}
+
+#[derive(Debug, Default)]
+enum Action {
+    #[default]
+    Help,
+    /// Tables of the given experiments (none = all), then optionally
+    /// their telemetry into the directory.
+    Sweep(Vec<&'static str>, Option<PathBuf>),
+    Explain(&'static str),
+    Report(&'static str, PathBuf),
+    Trace(&'static str, PathBuf),
+    Diff(&'static str, DiffTarget<'static>),
+    /// `runs list`, failures only if set.
+    RunsList(bool),
+    RunsShow(String),
+    RunsGc,
+    /// `regress`, with a deliberate drift injected if set.
+    Regress(bool),
+    BenchKernels(Vec<u16>),
+    StallDemo,
+    /// One simulation: its configuration, report header and `--trace-csv`.
+    Sim(Box<SystemBuilder>, String, bool),
+}
+
+fn usage<T>(message: String) -> Result<T, Usage> {
+    Err(Usage(message))
+}
+
+fn probe_id(raw: &str) -> Result<&'static str, Usage> {
+    match PROBE_IDS.iter().find(|id| **id == raw) {
+        Some(id) => Ok(id),
+        None => usage(format!(
+            "unknown experiment id '{raw}'; known ids: {}",
+            PROBE_IDS.join(" ")
+        )),
+    }
+}
+
+fn number<T: FromStr>(flag: &str, raw: &str, what: &str) -> Result<T, Usage> {
+    raw.parse()
+        .or_else(|_| usage(format!("{flag} wants {what}, got '{raw}'")))
+}
+
+/// The flags of one [`SUBCOMMANDS`] spec as `(name, arity)` pairs, with
+/// `+run` expanded to [`RUN`].
+fn flag_specs(spec: &'static str) -> impl Iterator<Item = (&'static str, &'static str)> {
+    spec.split_whitespace()
+        .flat_map(|token| if token == "+run" { RUN } else { token }.split_whitespace())
+        .map(|token| token.split_at(token.find(['=', '[']).unwrap_or(token.len())))
+}
+
+/// Parses `repro`'s arguments (without the program name). Pure: it
+/// starts nothing and reads no environment.
+fn parse(args: &[String]) -> Result<Command, Usage> {
+    let mut flags: Vec<(&str, Option<&str>)> = Vec::new();
+    let mut positional: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            positional.push(arg);
+            continue;
+        }
+        if arg == "--help" || arg == "-h" {
+            return Ok(Command::default());
+        }
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        let mut known = SUBCOMMANDS.iter().flat_map(|(_, spec)| flag_specs(spec));
+        let Some((_, arity)) = known.find(|(flag, _)| *flag == name) else {
+            return usage(format!("unknown flag '{arg}'"));
+        };
+        let value = match (arity, inline) {
+            ("", Some(_)) => return usage(format!("{name} takes no value")),
+            (_, Some("")) => return usage(format!("{name}= wants a value")),
+            ("=", None) => match it.next() {
+                Some(value) => Some(value.as_str()),
+                None => return usage(format!("{name} wants a value")),
+            },
+            (_, inline) => inline,
+        };
+        if flags.iter().any(|(seen, _)| *seen == name) {
+            return usage(format!("{name} given twice"));
+        }
+        flags.push((name, value));
+    }
+
+    let (sub, spec) = SUBCOMMANDS
+        .into_iter()
+        .find(|(sub, _)| !sub.is_empty() && positional.first() == Some(sub))
+        .unwrap_or(SUBCOMMANDS[0]);
+    let accepted = |name: &str| flag_specs(spec).any(|(known, _)| known == name);
+    if let Some((name, _)) = flags.iter().find(|(name, _)| !accepted(name)) {
+        let what = if sub.is_empty() {
+            "the experiment sweep".to_owned()
+        } else {
+            format!("`{sub}`")
+        };
+        return usage(format!("{name} is not an option of {what}"));
+    }
+    let operands = &positional[usize::from(!sub.is_empty())..];
+    let value = |name: &str| {
+        flags
+            .iter()
+            .find(|(seen, _)| *seen == name)
+            .map(|(_, v)| *v)
+    };
+    let has = |name: &str| value(name).is_some();
+    let text = |name: &str| value(name).flatten();
+    let out = || PathBuf::from(text("--out").unwrap_or("report"));
+    let one_id = || match operands {
+        [id] => probe_id(id),
+        _ => usage(format!(
+            "`{sub}` wants one experiment id, got {}",
+            operands.len()
+        )),
+    };
+
+    let action = match (sub, operands) {
+        ("", ids) => Action::Sweep(
+            ids.iter()
+                .map(|id| probe_id(id))
+                .collect::<Result<_, _>>()?,
+            text("--events").map(PathBuf::from),
+        ),
+        ("explain", _) => Action::Explain(one_id()?),
+        ("report", _) => Action::Report(one_id()?, out()),
+        ("trace", _) => Action::Trace(one_id()?, out()),
+        ("diff", ids) => {
+            let seed2 = text("--seed2").map(|s| number("--seed2", s, "an unsigned integer seed"));
+            match (ids, seed2.transpose()?) {
+                ([a], Some(seed)) => Action::Diff(probe_id(a)?, DiffTarget::Seed(seed)),
+                ([a, b], None) => Action::Diff(probe_id(a)?, DiffTarget::Probe(probe_id(b)?)),
+                ([a], None) => Action::Diff(probe_id(a)?, DiffTarget::Probe(probe_id(a)?)),
+                _ => return usage("`diff` wants <id a> [<id b>] or <id a> --seed2 S".to_owned()),
+            }
+        }
+        ("runs", ["list"]) => Action::RunsList(has("--failed")),
+        ("runs", ["show", reference]) if !has("--failed") => {
+            Action::RunsShow(reference.to_string())
+        }
+        ("runs", ["gc"]) if !has("--failed") => Action::RunsGc,
+        ("runs", _) => return usage("`runs` wants list [--failed], show <ref> or gc".to_owned()),
+        ("bench", ["kernels"]) => Action::BenchKernels(match text("--grids") {
+            None if has("--quick") => QUICK_GRIDS.to_vec(),
+            None => DEFAULT_GRIDS.to_vec(),
+            Some(list) => match list
+                .split(',')
+                .map(|g| g.trim().parse())
+                .collect::<Result<Vec<u16>, _>>()
+            {
+                Ok(edges) if edges.iter().all(|&e| e >= 2) => edges,
+                _ => {
+                    return usage(format!(
+                        "--grids wants mesh edges >= 2 like 8,16, got '{list}'"
+                    ))
+                }
+            },
+        }),
+        ("bench", _) => return usage("`bench` wants `kernels`".to_owned()),
+        (_, [first, ..]) => return usage(format!("`{sub}` takes no operand, got '{first}'")),
+        ("regress", []) => Action::Regress(has("--inject-drift")),
+        ("stall-demo", []) => Action::StallDemo,
+        _ => {
+            let (builder, header) = sim(|flag, default| text(flag).unwrap_or(default), has)?;
+            Action::Sim(Box::new(builder), header, has("--trace-csv"))
+        }
+    };
+    Ok(Command {
+        action,
+        quick: has("--quick"),
+        jobs: text("--jobs")
+            .map(|n| number("--jobs", n, "a positive worker count"))
+            .transpose()?,
+        ledger: value("--ledger").map(|dir| PathBuf::from(dir.unwrap_or("runs"))),
+        progress: has("--progress"),
+    })
+}
+
+/// `repro sim`'s system and report header. `flag(name, default)` reads a
+/// value flag, `has(name)` a switch.
+fn sim<'a>(
+    flag: impl Fn(&str, &'a str) -> &'a str,
+    has: impl Fn(&str) -> bool,
+) -> Result<(SystemBuilder, String), Usage> {
+    let ms: u64 = number("--ms", flag("--ms", "300"), "a horizon in milliseconds")?;
+    // Longer horizons overflow the simulator's u64 nanosecond clock.
+    let max_ms = u64::MAX / 1_000_000;
+    if ms > max_ms {
+        return usage(format!(
+            "--ms {ms} exceeds the longest horizon, {max_ms} ms"
+        ));
+    }
+    let node = flag("--node", "16")
+        .parse::<TechNode>()
+        .or_else(|e| usage(e.to_string()))?;
+    let rate: f64 = number("--rate", flag("--rate", "500"), "an arrival rate in apps/s")?;
+    let seed: u64 = number("--seed", flag("--seed", "1"), "an unsigned integer seed")?;
+    let builder = SystemBuilder::new(node)
+        .seed(seed)
+        .arrival_rate(rate)
+        .sim_time_ms(ms)
+        .testing(!has("--no-test"))
+        .governor(match flag("--governor", "pid") {
+            "pid" => GovernorKind::Pid,
+            "naive" => GovernorKind::Naive,
+            "fixed" => GovernorKind::FixedTdp,
+            other => return usage(format!("unknown governor `{other}`")),
+        })
+        .mapper(match flag("--mapper", "tum") {
+            "tum" | "test-aware" => MapperKind::TestAware,
+            "baseline" | "cona" => MapperKind::Baseline,
+            other => return usage(format!("unknown mapper `{other}`")),
+        })
+        .injected_faults(number("--faults", flag("--faults", "0"), "a fault count")?)
+        .vf_windowed_faults(number(
+            "--windowed-faults",
+            flag("--windowed-faults", "0"),
+            "a fraction",
+        )?)
+        .intrusive_testing(has("--intrusive"));
+    // The header wording is part of the byte-stable single-run output.
+    Ok((
+        builder,
+        format!("# mtsim: {node} mesh, {rate} apps/s, {ms} ms, seed {seed}"),
+    ))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = parse(&args).unwrap_or_else(|Usage(reason)| {
+        eprintln!("error: {reason}");
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    });
+    // Resolved once so the footer names the worker count used everywhere.
+    let jobs = command.jobs.map_or_else(default_jobs, NonZeroUsize::get);
+    if let Some(dir) = command.ledger {
+        ledger::set_dir(Some(dir));
+    }
+    ledger::set_jobs(jobs as u64);
+    if command.progress {
+        progress::enable();
+    }
+    let scale = if command.quick {
+        Scale::Quick
+    } else {
+        Scale::Full
+    };
+    const KNOWN: &str = "the parser admits known experiment ids only";
+
+    match command.action {
+        Action::Help => print!("{USAGE}"),
+        Action::Sweep(ids, events) => sweep(&ids, events, scale, jobs),
+        Action::Explain(id) => print!("{}", explain(id, scale).expect(KNOWN)),
+        // One flight-recorded probe rendered as a self-contained HTML
+        // report plus Prometheus-style metrics. The files are
+        // byte-identical across worker counts and reruns; the per-phase
+        // wall-clock table goes to stderr only.
+        Action::Report(id, dir) => {
+            let (report, wall) = run_report_probe_timed(id, scale).expect(KNOWN);
+            match write_report_files(&dir, id, &report) {
+                Ok((html, prom)) => {
+                    println!("{}", report.summary());
+                    eprintln!("# report -> {}", html.display());
+                    eprintln!("# metrics -> {}", prom.display());
+                    eprint!("{}", wall_phase_table(&wall));
+                }
+                Err(e) => {
+                    eprintln!("error: report generation failed: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        // One probe exported as a Perfetto/Chrome trace with flow arrows
+        // along the cause links; byte-identical across worker counts.
+        Action::Trace(id, dir) => {
+            let (report, _json) = run_trace(id, scale).expect(KNOWN);
+            match write_trace_file(&dir, id, &report) {
+                Ok((path, flows)) => {
+                    println!("{}", report.summary());
+                    let events = report.events.len();
+                    eprintln!(
+                        "# trace -> {} ({events} events, {flows} cause-link flows)",
+                        path.display()
+                    );
+                    eprintln!("# open in https://ui.perfetto.dev or chrome://tracing");
+                }
+                Err(e) => {
+                    eprintln!("error: trace export failed: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
+        Action::Diff(id, target) => print!("{}", run_diff(id, target, scale).expect(KNOWN)),
+        Action::RunsList(_) | Action::RunsShow(_) | Action::RunsGc => {
+            let Some(dir) = ledger::dir() else {
+                eprintln!(
+                    "error: no ledger directory — pass --ledger[=DIR] or set MANYTEST_LEDGER_DIR"
+                );
+                std::process::exit(2);
+            };
+            match command.action {
+                Action::RunsList(failed_only) => {
+                    print!("{}", ledger::render_runs_list(&dir, failed_only))
+                }
+                Action::RunsShow(reference) => match ledger::render_runs_show(&dir, &reference) {
+                    Some(text) => print!("{text}"),
+                    None => {
+                        eprintln!("error: no run matching '{reference}' in {}", dir.display());
+                        std::process::exit(1);
+                    }
+                },
+                _ => print!("{}", ledger::gc(&dir)),
+            }
+        }
+        // The cross-run regression watch. Exits nonzero on drift so CI can
+        // gate on it; `--inject-drift` proves the gate can fail.
+        Action::Regress(inject_drift) => {
+            let ok = regress::run_regress(jobs, inject_drift);
+            std::process::exit(if ok { 0 } else { 1 });
+        }
+        // The control-loop scaling sweep. The stdout table carries only
+        // the deterministic phase-profile counters; wall-clock lands on
+        // stderr and in BENCH_kernels.json.
+        Action::BenchKernels(grids) => {
+            let runs = run_kernels(&grids, scale);
+            print_kernels(&runs, scale);
+            eprint!("{}", wall_kernels_table(&runs));
+            if let Err(e) = std::fs::write("BENCH_kernels.json", kernels_json(&runs, scale)) {
+                eprintln!("warning: could not write BENCH_kernels.json: {e}");
+            } else {
+                eprintln!("# counters + wall -> BENCH_kernels.json");
+            }
+        }
+        Action::StallDemo => stall_demo(jobs),
+        Action::Sim(builder, header, trace_csv) => {
+            let report = builder.build().map(System::run).unwrap_or_else(|e| {
+                eprintln!("error: invalid configuration: {e}");
+                std::process::exit(1);
+            });
+            // With --trace-csv the CSV owns stdout and the report moves
+            // to stderr.
+            let out = |line: &str| {
+                if trace_csv {
+                    eprintln!("{line}")
+                } else {
+                    println!("{line}")
+                }
+            };
+            out(&header);
+            out(&report.summary());
+            out(&format!(
+                "apps: {} arrived / {} completed / {} in flight / {} rejected",
+                report.apps_arrived,
+                report.apps_completed,
+                report.apps_in_flight,
+                report.apps_rejected
+            ));
+            if report.faults_injected > 0 {
+                out(&format!(
+                    "faults: {}/{} detected, mean latency {:.1} ms",
+                    report.faults_detected,
+                    report.faults_injected,
+                    report.mean_detection_latency * 1e3
+                ));
+            }
+            if trace_csv {
+                print!("{}", report.trace.to_csv());
+            }
+        }
+    }
+}
+
+/// Per-experiment timing record for the stderr footer.
 struct Timing {
     id: &'static str,
     /// Serial-equivalent simulation runs the experiment submitted.
@@ -85,366 +560,10 @@ struct Timing {
     mean_queue_depth: f64,
 }
 
-fn parse_jobs(args: &[String]) -> Option<usize> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-fn parse_events_dir(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--events" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--events=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
-/// `--grids 8,16,32` / `--grids=8,16,32` / `--grid 64` (one edge).
-/// Exits with usage on an unparsable edge list.
-fn parse_grids(args: &[String]) -> Option<Vec<u16>> {
-    let mut list: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--grids" || a == "--grid" {
-            list = it.next().map(String::as_str);
-        } else if let Some(v) = a.strip_prefix("--grids=").or_else(|| a.strip_prefix("--grid=")) {
-            list = Some(v);
-        }
-    }
-    let list = list?;
-    let grids: Result<Vec<u16>, _> = list.split(',').map(|g| g.trim().parse::<u16>()).collect();
-    match grids {
-        Ok(g) if !g.is_empty() && g.iter().all(|&e| e >= 2) => Some(g),
-        _ => {
-            eprintln!("error: --grids wants a comma-separated list of mesh edges >= 2, got '{list}'");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--seed2 S` / `--seed2=S`. Exits with usage on an unparsable seed.
-fn parse_seed2(args: &[String]) -> Option<u64> {
-    let mut raw: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seed2" {
-            raw = it.next().map(String::as_str);
-        } else if let Some(v) = a.strip_prefix("--seed2=") {
-            raw = Some(v);
-        }
-    }
-    let raw = raw?;
-    match raw.parse() {
-        Ok(s) => Some(s),
-        Err(_) => {
-            eprintln!("error: --seed2 wants an unsigned integer seed, got '{raw}'");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--ledger` (bare: `runs/`) or `--ledger=DIR`. The flag switches the
-/// run ledger on; without it (and without `MANYTEST_LEDGER_DIR`) no
-/// manifests or cache blobs are written.
-fn parse_ledger(args: &[String]) -> Option<PathBuf> {
-    let mut dir = None;
-    for a in args {
-        if a == "--ledger" {
-            dir = Some(PathBuf::from("runs"));
-        } else if let Some(v) = a.strip_prefix("--ledger=") {
-            dir = Some(PathBuf::from(v));
-        }
-    }
-    dir
-}
-
-fn parse_out_dir(args: &[String]) -> Option<PathBuf> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--out" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--out=") {
-            return Some(PathBuf::from(v));
-        }
-    }
-    None
-}
-
-fn write_bench_json(path: &str, jobs: usize, scale: Scale, timings: &[Timing]) {
-    let total_runs: u64 = timings.iter().map(|t| t.runs).sum();
-    let total_wall: f64 = timings.iter().map(|t| t.wall_seconds).sum();
-    let total_busy: f64 = timings.iter().map(|t| t.busy_seconds).sum();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Quick { "quick" } else { "full" }
-    ));
-    json.push_str("  \"experiments\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"runs\": {}, \"wall_seconds\": {:.6}, \
-             \"busy_seconds\": {:.6}, \"mean_queue_depth\": {:.3}}}{}\n",
-            t.id,
-            t.runs,
-            t.wall_seconds,
-            t.busy_seconds,
-            t.mean_queue_depth,
-            if i + 1 == timings.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_runs\": {total_runs},\n"));
-    json.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    json.push_str(&format!("  \"total_busy_seconds\": {total_busy:.6}\n"));
-    json.push_str("}\n");
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-    // 0 would mean "decide per batch"; resolving here keeps the footer and
-    // JSON honest about the worker count actually used everywhere.
-    let jobs = parse_jobs(&args).filter(|&n| n > 0).unwrap_or_else(default_jobs);
-    if let Some(dir) = parse_ledger(&args) {
-        ledger::set_dir(Some(dir));
-    }
-    ledger::set_jobs(jobs as u64);
-    if args.iter().any(|a| a == "--progress") {
-        progress::enable();
-    }
-    let events_dir = parse_events_dir(&args);
-    let out_dir = parse_out_dir(&args);
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs"
-            || a == "--events"
-            || a == "--out"
-            || a == "--grids"
-            || a == "--grid"
-            || a == "--seed2"
-        {
-            it.next(); // the flag's value is not an experiment id
-        } else if !a.starts_with("--") {
-            positional.push(a.as_str());
-        }
-    }
-
-    // `repro explain <id>`: one probe, human-readable decision timeline.
-    if positional.first() == Some(&"explain") {
-        let Some(&id) = positional.get(1) else {
-            eprintln!("usage: repro explain <experiment id> [--quick]");
-            eprintln!("known ids: {}", PROBE_IDS.join(" "));
-            std::process::exit(2);
-        };
-        match explain(id, scale) {
-            Some(text) => print!("{text}"),
-            None => {
-                eprintln!("unknown experiment id '{id}'; known ids: {}", PROBE_IDS.join(" "));
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    // `repro report <id> [--out DIR]`: one flight-recorded probe rendered
-    // as a self-contained HTML report plus Prometheus-style metrics. The
-    // files are byte-identical across worker counts and reruns; the
-    // per-phase wall-clock table goes to stderr only.
-    if positional.first() == Some(&"report") {
-        let Some(&id) = positional.get(1) else {
-            eprintln!("usage: repro report <experiment id> [--out DIR] [--quick]");
-            eprintln!("known ids: {}", PROBE_IDS.join(" "));
-            std::process::exit(2);
-        };
-        let Some((report, wall)) = run_report_probe_timed(id, scale) else {
-            eprintln!("unknown experiment id '{id}'; known ids: {}", PROBE_IDS.join(" "));
-            std::process::exit(2);
-        };
-        let dir = out_dir.unwrap_or_else(|| PathBuf::from("report"));
-        match write_report_files(&dir, id, &report) {
-            Ok((html, prom)) => {
-                println!("{}", report.summary());
-                eprintln!("# report -> {}", html.display());
-                eprintln!("# metrics -> {}", prom.display());
-                eprint!("{}", wall_phase_table(&wall));
-            }
-            Err(e) => {
-                eprintln!("error: report generation failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    // `repro trace <id> [--out DIR]`: one probe exported as a
-    // Perfetto/Chrome trace with flow arrows along the cause links. The
-    // file is byte-identical across worker counts (CI diffs it).
-    if positional.first() == Some(&"trace") {
-        let Some(&id) = positional.get(1) else {
-            eprintln!("usage: repro trace <experiment id> [--out DIR] [--quick]");
-            eprintln!("known ids: {}", PROBE_IDS.join(" "));
-            std::process::exit(2);
-        };
-        let Some((report, _json)) = run_trace(id, scale) else {
-            eprintln!("unknown experiment id '{id}'; known ids: {}", PROBE_IDS.join(" "));
-            std::process::exit(2);
-        };
-        let dir = out_dir.unwrap_or_else(|| PathBuf::from("report"));
-        match write_trace_file(&dir, id, &report) {
-            Ok((path, flows)) => {
-                println!("{}", report.summary());
-                eprintln!("# trace -> {} ({} events, {flows} cause-link flows)", path.display(), report.events.len());
-                eprintln!("# open in https://ui.perfetto.dev or chrome://tracing");
-            }
-            Err(e) => {
-                eprintln!("error: trace export failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    // `repro diff <a> <b>` / `repro diff <id> --seed2 S`: first-divergence
-    // run diff with causal chains and downstream drift.
-    if positional.first() == Some(&"diff") {
-        let seed2 = parse_seed2(&args);
-        let (id, target) = match (positional.get(1), positional.get(2), seed2) {
-            (Some(&id), None, Some(s)) => (id, DiffTarget::Seed(s)),
-            (Some(&id), Some(&other), None) => (id, DiffTarget::Probe(other)),
-            (Some(&id), None, None) => (id, DiffTarget::Probe(id)),
-            _ => {
-                eprintln!("usage: repro diff <id a> [<id b>] [--seed2 S] [--quick]");
-                eprintln!("       (one id alone self-diffs; --seed2 re-runs <id a> reseeded)");
-                eprintln!("known ids: {}", PROBE_IDS.join(" "));
-                std::process::exit(2);
-            }
-        };
-        match run_diff(id, target, scale) {
-            Some(text) => print!("{text}"),
-            None => {
-                eprintln!("unknown experiment id; known ids: {}", PROBE_IDS.join(" "));
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    // `repro runs list|show|gc`: inspect the on-disk run ledger.
-    if positional.first() == Some(&"runs") {
-        let Some(dir) = ledger::dir() else {
-            eprintln!("error: no ledger directory — pass --ledger[=DIR] or set MANYTEST_LEDGER_DIR");
-            std::process::exit(2);
-        };
-        match positional.get(1) {
-            Some(&"list") => {
-                let failed_only = args.iter().any(|a| a == "--failed");
-                print!("{}", ledger::render_runs_list(&dir, failed_only));
-            }
-            Some(&"show") => {
-                let Some(&reference) = positional.get(2) else {
-                    eprintln!("usage: repro runs show <seq | config-hash prefix | probe id | label>");
-                    std::process::exit(2);
-                };
-                match ledger::render_runs_show(&dir, reference) {
-                    Some(text) => print!("{text}"),
-                    None => {
-                        eprintln!("error: no run matching '{reference}' in {}", dir.display());
-                        std::process::exit(1);
-                    }
-                }
-            }
-            Some(&"gc") => print!("{}", ledger::gc(&dir)),
-            _ => {
-                eprintln!("usage: repro runs <list [--failed] | show <ref> | gc> [--ledger=DIR]");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    // `repro regress [--inject-drift]`: the cross-run regression watch.
-    // Exits nonzero on drift so CI can gate on it; `--inject-drift` is
-    // the self-test hook proving the gate can fail.
-    if positional.first() == Some(&"regress") {
-        let inject = args.iter().any(|a| a == "--inject-drift");
-        let ok = regress::run_regress(jobs, inject);
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-
-    // `repro stall-demo`: a deliberately quiet job plus a deliberately
-    // panicking one, with the heartbeat renderer forced on — exercises
-    // the stall watchdog and failure manifests end to end. Exits 0 by
-    // design (the panic is the fixture, not a failure of the demo).
-    if positional.first() == Some(&"stall-demo") {
-        progress::enable();
-        let sleep_s: f64 = std::env::var("MANYTEST_STALL_DEMO_SECONDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
-        let mut batch = Batch::new();
-        batch.push("demo/sleeper", move || {
-            std::thread::sleep(std::time::Duration::from_secs_f64(sleep_s));
-            Report::default()
-        });
-        batch.push("demo/panic", || -> Report {
-            panic!("deliberate stall-demo failure")
-        });
-        let (outcomes, _) = batch.run_outcomes(jobs.max(2));
-        let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-        println!("stall-demo: {} job(s), {failed} failed as scripted", outcomes.len());
-        return;
-    }
-
-    // `repro bench kernels [--grids 8,16,32,64 | --grid N]`: the
-    // control-loop scaling sweep. The stdout table carries only the
-    // deterministic phase-profile counters; wall-clock lands on stderr
-    // and in BENCH_kernels.json.
-    if positional.first() == Some(&"bench") {
-        if positional.get(1) != Some(&"kernels") {
-            eprintln!("usage: repro bench kernels [--grids N,N,...] [--grid N] [--quick]");
-            std::process::exit(2);
-        }
-        let grids: Vec<u16> = parse_grids(&args).unwrap_or_else(|| {
-            if quick {
-                QUICK_GRIDS.to_vec()
-            } else {
-                DEFAULT_GRIDS.to_vec()
-            }
-        });
-        let runs = run_kernels(&grids, scale);
-        print_kernels(&runs, scale);
-        eprint!("{}", wall_kernels_table(&runs));
-        if let Err(e) = std::fs::write("BENCH_kernels.json", kernels_json(&runs, scale)) {
-            eprintln!("warning: could not write BENCH_kernels.json: {e}");
-        } else {
-            eprintln!("# counters + wall -> BENCH_kernels.json");
-        }
-        return;
-    }
-    let wanted = positional;
-
-    let all = wanted.is_empty();
-    let want = |id: &str| all || wanted.contains(&id);
-
+/// The tables of the experiments in `ids` (all when empty), then the
+/// optional telemetry dump, then the timing footer on stderr.
+fn sweep(ids: &[&str], events_dir: Option<PathBuf>, scale: Scale, jobs: usize) {
+    let want = |id: &str| ids.is_empty() || ids.contains(&id);
     println!("# manytest reproduction — DATE 2015 power-aware online testing");
     println!(
         "# scale: {:?} (pass --quick for short runs; select with ids e1..e12 and a1..a6)\n",
@@ -458,12 +577,11 @@ fn main() {
     // table is byte-identical across worker counts because the batch
     // runner re-raises the first panic in *submission* order.
     let mut failures: Vec<(&'static str, String)> = Vec::new();
-    let mut timed = |id: &'static str, run: &mut dyn FnMut()| {
+    for &(id, run) in EXPERIMENTS.iter().filter(|(id, _)| want(id)) {
         let jobs_before = jobs_executed();
         let stats_before: JobStats = job_stats();
         let start = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut *run));
-        if let Err(payload) = outcome {
+        if let Err(payload) = std::panic::catch_unwind(|| run(scale, jobs)) {
             failures.push((id, panic_message(payload.as_ref())));
         }
         let stats_after = job_stats();
@@ -479,61 +597,6 @@ fn main() {
                 (stats_after.queue_depth_sum - stats_before.queue_depth_sum) / runs as f64
             },
         });
-    };
-
-    if want("e1") {
-        timed("e1", &mut || print_e1(&e1_tech_sweep(scale, jobs)));
-    }
-    if want("e2") {
-        timed("e2", &mut || print_e2(&e2_power_trace(scale, jobs)));
-    }
-    if want("e3") {
-        timed("e3", &mut || print_e3(&e3_test_power_share(scale, jobs)));
-    }
-    if want("e4") {
-        timed("e4", &mut || print_e4(&e4_test_interval_vs_load(scale, jobs)));
-    }
-    if want("e5") {
-        timed("e5", &mut || print_e5(&e5_mapping_compare(scale, jobs)));
-    }
-    if want("e6") {
-        timed("e6", &mut || print_e6(&e6_criticality_adaptation(scale, jobs)));
-    }
-    if want("e7") {
-        timed("e7", &mut || print_e7(&e7_vf_coverage(scale, jobs)));
-    }
-    if want("e8") {
-        timed("e8", &mut || print_e8(&e8_pid_vs_naive(scale, jobs)));
-    }
-    if want("e9") {
-        timed("e9", &mut || print_e9(&e9_dark_silicon(scale, jobs)));
-    }
-    if want("e10") {
-        timed("e10", &mut || print_e10(&e10_lifetime(scale, jobs)));
-    }
-    if want("e11") {
-        timed("e11", &mut || print_e11(&e11_fault_response(scale, jobs)));
-    }
-    if want("e12") {
-        timed("e12", &mut || print_e12(&e12_core_lifecycle(scale, jobs)));
-    }
-    if want("a1") {
-        timed("a1", &mut || print_a1(&a1_intrusiveness(scale, jobs)));
-    }
-    if want("a2") {
-        timed("a2", &mut || print_a2(&a2_criticality_weights(scale, jobs)));
-    }
-    if want("a3") {
-        timed("a3", &mut || print_a3(&a3_abort_overhead(scale, jobs)));
-    }
-    if want("a4") {
-        timed("a4", &mut || print_a4(&a4_level_rotation(scale, jobs)));
-    }
-    if want("a5") {
-        timed("a5", &mut || print_a5(&a5_thermal_model(scale, jobs)));
-    }
-    if want("a6") {
-        timed("a6", &mut || print_a6(&a6_contention(scale, jobs)));
     }
 
     // Telemetry dump: one instrumented probe per selected experiment.
@@ -555,7 +618,7 @@ fn main() {
         }
     }
 
-    // Timing lands on stderr + JSON so stdout stays byte-identical across
+    // Timing lands on stderr so stdout stays byte-identical across
     // worker counts (the determinism test diffs stdout).
     let total_runs: u64 = timings.iter().map(|t| t.runs).sum();
     let total_wall: f64 = timings.iter().map(|t| t.wall_seconds).sum();
@@ -569,12 +632,316 @@ fn main() {
         );
     }
     eprintln!("# total {total_runs:>4}  {total_wall:>7.3}  {total_busy:>7.3}");
-    write_bench_json("BENCH_repro.json", jobs, scale, &timings);
     if !failures.is_empty() {
-        println!("## failed experiments ({} of {})", failures.len(), timings.len());
+        println!(
+            "## failed experiments ({} of {})",
+            failures.len(),
+            timings.len()
+        );
         for (id, msg) in &failures {
-            println!("{id:<5}  {}", msg.lines().next().unwrap_or("<empty panic payload>"));
+            println!(
+                "{id:<5}  {}",
+                msg.lines().next().unwrap_or("<empty panic payload>")
+            );
         }
         std::process::exit(1);
+    }
+}
+
+/// A deliberately quiet job plus a deliberately panicking one, with the
+/// heartbeat renderer forced on — exercises the stall watchdog and
+/// failure manifests end to end. Exits 0 by design (the panic is the
+/// fixture, not a failure of the demo).
+fn stall_demo(jobs: usize) {
+    progress::enable();
+    let sleep_s: f64 = std::env::var("MANYTEST_STALL_DEMO_SECONDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1.0);
+    let mut batch = Batch::new();
+    batch.push("demo/sleeper", move || {
+        std::thread::sleep(std::time::Duration::from_secs_f64(sleep_s));
+        Report::default()
+    });
+    batch.push("demo/panic", || -> Report {
+        panic!("deliberate stall-demo failure")
+    });
+    let (outcomes, _) = batch.run_outcomes(jobs.max(2));
+    let failed = outcomes.iter().filter(|o| o.is_failed()).count();
+    println!(
+        "stall-demo: {} job(s), {failed} failed as scripted",
+        outcomes.len()
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    fn parse_line(line: &str) -> Result<Command, Usage> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse(&args)
+    }
+
+    fn rejection(line: &str) -> String {
+        match parse_line(line) {
+            Ok(command) => panic!("`{line}` parsed as {command:?}"),
+            Err(Usage(reason)) => reason,
+        }
+    }
+
+    #[test]
+    fn experiment_table_ids_equal_probe_ids() {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, PROBE_IDS);
+    }
+
+    #[test]
+    fn a_flag_has_one_arity_everywhere() {
+        let all: Vec<_> = SUBCOMMANDS
+            .iter()
+            .flat_map(|(_, spec)| flag_specs(spec))
+            .collect();
+        for (name, arity) in &all {
+            assert!(
+                name.starts_with("--") && ["", "=", "[=]"].contains(arity),
+                "{name}{arity}"
+            );
+            assert!(
+                all.iter().all(|(n, a)| n != name || a == arity),
+                "{name} differs"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        assert_eq!(
+            rejection("--bogus-flag e2 --quick"),
+            "unknown flag '--bogus-flag'"
+        );
+        assert_eq!(rejection("--grid 8 bench kernels"), "unknown flag '--grid'");
+        assert_eq!(rejection("e3 -q"), "unknown flag '-q'");
+    }
+
+    #[test]
+    fn rejects_unknown_ids() {
+        for line in [
+            "e99",
+            "e1 e13",
+            "explain e99",
+            "report x",
+            "trace a7",
+            "diff e3 e99",
+        ] {
+            assert!(
+                rejection(line).starts_with("unknown experiment id"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_flags_of_another_subcommand() {
+        assert_eq!(
+            rejection("e3 --grids 8"),
+            "--grids is not an option of the experiment sweep"
+        );
+        assert_eq!(
+            rejection("explain e3 --seed2 1"),
+            "--seed2 is not an option of `explain`"
+        );
+        assert_eq!(
+            rejection("sim --quick"),
+            "--quick is not an option of `sim`"
+        );
+        assert_eq!(
+            rejection("runs list --jobs 2"),
+            "--jobs is not an option of `runs`"
+        );
+        assert_eq!(
+            rejection("--node 16"),
+            "--node is not an option of the experiment sweep"
+        );
+        assert!(rejection("runs gc --failed").starts_with("`runs` wants"));
+    }
+
+    #[test]
+    fn rejects_bad_values() {
+        assert_eq!(
+            rejection("--jobs abc"),
+            "--jobs wants a positive worker count, got 'abc'"
+        );
+        assert_eq!(
+            rejection("--jobs=0"),
+            "--jobs wants a positive worker count, got '0'"
+        );
+        assert_eq!(rejection("--jobs"), "--jobs wants a value");
+        assert!(rejection("bench kernels --grids 1").starts_with("--grids wants"));
+        assert!(rejection("bench kernels --grids 8,x").starts_with("--grids wants"));
+        assert!(rejection("diff e3 --seed2 -1").starts_with("--seed2 wants"));
+        assert_eq!(rejection("--quick=yes"), "--quick takes no value");
+        assert_eq!(rejection("--ledger="), "--ledger= wants a value");
+        assert_eq!(rejection("--quick e3 --quick"), "--quick given twice");
+        assert!(rejection("sim --node 7").contains("technology node"));
+        assert_eq!(rejection("sim --mapper best"), "unknown mapper `best`");
+        assert!(rejection("sim --rate fast").starts_with("--rate wants"));
+    }
+
+    #[test]
+    fn rejects_malformed_operands() {
+        assert!(rejection("diff e1 e2 e3").starts_with("`diff` wants"));
+        assert!(rejection("diff e1 e2 --seed2 3").starts_with("`diff` wants"));
+        assert!(rejection("diff").starts_with("`diff` wants"));
+        assert_eq!(
+            rejection("explain"),
+            "`explain` wants one experiment id, got 0"
+        );
+        assert_eq!(
+            rejection("report e1 e2"),
+            "`report` wants one experiment id, got 2"
+        );
+        assert!(rejection("runs show").starts_with("`runs` wants"));
+        assert_eq!(rejection("bench micro"), "`bench` wants `kernels`");
+        assert_eq!(
+            rejection("regress e3"),
+            "`regress` takes no operand, got 'e3'"
+        );
+        assert_eq!(rejection("sim e3"), "`sim` takes no operand, got 'e3'");
+    }
+
+    #[test]
+    fn sim_horizon_stops_at_the_clock_limit() {
+        let max_ms = u64::MAX / 1_000_000;
+        let Action::Sim(_, header, _) = parse_line(&format!("sim --ms {max_ms}")).unwrap().action
+        else {
+            panic!("not a sim");
+        };
+        assert!(header.contains(&format!(" {max_ms} ms")), "{header}");
+        assert_eq!(
+            rejection(&format!("sim --ms {}", max_ms + 1)),
+            format!(
+                "--ms {} exceeds the longest horizon, {max_ms} ms",
+                max_ms + 1
+            )
+        );
+    }
+
+    #[test]
+    fn parses_into_the_intended_command() {
+        let command = parse_line("e5 e1 --quick --jobs=3 --ledger").unwrap();
+        assert!(matches!(command.action, Action::Sweep(ref ids, None) if ids == &["e5", "e1"]));
+        assert_eq!((command.quick, command.jobs), (true, NonZeroUsize::new(3)));
+        assert_eq!(command.ledger, Some(PathBuf::from("runs")));
+        let command = parse_line("diff e11 --seed2 111 --ledger=cache").unwrap();
+        assert!(matches!(
+            command.action,
+            Action::Diff("e11", DiffTarget::Seed(111))
+        ));
+        assert_eq!(command.ledger, Some(PathBuf::from("cache")));
+        let command = parse_line("report e11 --out r1").unwrap();
+        assert!(matches!(command.action, Action::Report("e11", ref out) if out == Path::new("r1")));
+        let command = parse_line("bench kernels --quick").unwrap();
+        assert!(matches!(command.action, Action::BenchKernels(ref g) if g == &QUICK_GRIDS));
+        assert!(matches!(
+            parse_line("runs list --failed").unwrap().action,
+            Action::RunsList(true)
+        ));
+        assert!(parse_line("e3 --bogus --help").is_err());
+        assert!(matches!(parse_line("sim -h").unwrap().action, Action::Help));
+    }
+
+    #[test]
+    fn sim_defaults_and_flags_configure_the_builder() {
+        let sim = |line: &str| match parse_line(line).unwrap().action {
+            Action::Sim(builder, header, csv) => (format!("{builder:?}"), header, csv),
+            other => panic!("`{line}` parsed as {other:?}"),
+        };
+        let defaults = SystemBuilder::new(TechNode::N16)
+            .seed(1)
+            .arrival_rate(500.0)
+            .sim_time_ms(300)
+            .testing(true)
+            .governor(GovernorKind::Pid)
+            .mapper(MapperKind::TestAware)
+            .injected_faults(0)
+            .vf_windowed_faults(0.0)
+            .intrusive_testing(false);
+        let header = "# mtsim: 16nm mesh, 500 apps/s, 300 ms, seed 1".to_owned();
+        assert_eq!(sim("sim"), (format!("{defaults:?}"), header, false));
+        let line = "sim --node 45 --rate 800 --ms 50 --seed 7 --no-test --governor naive \
+                    --mapper baseline --faults 3 --windowed-faults 0.5 --intrusive --trace-csv";
+        let custom = SystemBuilder::new(TechNode::N45)
+            .seed(7)
+            .arrival_rate(800.0)
+            .sim_time_ms(50)
+            .testing(false)
+            .governor(GovernorKind::Naive)
+            .mapper(MapperKind::Baseline)
+            .injected_faults(3)
+            .vf_windowed_faults(0.5)
+            .intrusive_testing(true);
+        let header = "# mtsim: 45nm mesh, 800 apps/s, 50 ms, seed 7".to_owned();
+        assert_eq!(sim(line), (format!("{custom:?}"), header, true));
+    }
+
+    /// Every `--bin repro … -- <args>` line in the fenced blocks of
+    /// README.md and EXPERIMENTS.md and in the CI workflow, cut at the
+    /// first shell redirection, pipe, comment or separator.
+    fn committed_invocations() -> Vec<String> {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |file: &str| std::fs::read_to_string(root.join(file)).expect(file);
+        let mut lines: Vec<String> = Vec::new();
+        for doc in ["README.md", "EXPERIMENTS.md"] {
+            let mut fenced = false;
+            for line in read(doc).lines() {
+                if line.trim_start().starts_with("```") {
+                    fenced = !fenced;
+                } else if fenced {
+                    lines.push(line.to_owned());
+                }
+            }
+        }
+        lines.extend(read(".github/workflows/ci.yml").lines().map(str::to_owned));
+        lines
+            .iter()
+            .filter_map(|line| line.split_once("--bin repro").map(|(_, rest)| rest))
+            .map(|rest| {
+                let rest = &rest[..rest.find(" 2>").unwrap_or(rest.len())];
+                let rest = rest.split(['>', '|', '#', ';', '&']).next().unwrap_or("");
+                match rest.split_once(" -- ") {
+                    Some((_, args)) => args.trim().to_owned(),
+                    None => String::new(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn committed_command_lines_parse() {
+        let invocations = committed_invocations();
+        assert!(
+            invocations.len() >= 40,
+            "only {} invocations found",
+            invocations.len()
+        );
+        for args in &invocations {
+            if let Err(Usage(reason)) = parse_line(args) {
+                panic!("committed `repro {args}` is rejected: {reason}");
+            }
+        }
+        for needle in [
+            "sim ",
+            "--help",
+            "regress",
+            "diff e11 --seed2 111",
+            "--ledger=runs",
+        ] {
+            assert!(
+                invocations.iter().any(|a| a.contains(needle)),
+                "no committed `{needle}`"
+            );
+        }
     }
 }

@@ -41,6 +41,7 @@ const DRIFT_METRICS: &[(&str, fn(&Report) -> f64)] = &[
 
 /// The second run of a diff: another probe id, or the same probe with
 /// its seed overridden.
+#[derive(Debug)]
 pub enum DiffTarget<'a> {
     /// Diff against a different probe id.
     Probe(&'a str),

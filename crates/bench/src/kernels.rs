@@ -147,8 +147,7 @@ pub fn wall_kernels_table(runs: &[KernelRun]) -> String {
 
 /// Renders `BENCH_kernels.json`: per grid, every profile counter (by its
 /// [`PhaseProfile::entries`] name), the run aggregates, and the wall
-/// times. Hand-rolled like `BENCH_repro.json` — the shims have no JSON
-/// serializer.
+/// times. Hand-rolled: the shims have no JSON serializer.
 pub fn kernels_json(runs: &[KernelRun], scale: Scale) -> String {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"seed\": {KERNELS_SEED},");

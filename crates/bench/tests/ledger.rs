@@ -36,6 +36,21 @@ fn stdout_of(out: &Output) -> String {
 }
 
 #[test]
+fn front_door_exit_codes() {
+    let help = repro(&["--help"], &[]);
+    assert_eq!(help.status.code(), Some(0), "{help:?}");
+    assert!(stdout_of(&help).contains("repro sim"), "usage missing from stdout");
+    // Each rejection happens in the parser: exit 2, usage on stderr and
+    // nothing on stdout (no sweep header, no simulation).
+    for args in [&["e99"][..], &["--bogus-flag"], &["sim", "--ms", "18446744073710"]] {
+        let out = repro(args, &[]);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE:"), "{args:?}");
+    }
+}
+
+#[test]
 fn report_survives_the_wire_byte_identically() {
     let report = run_report_probe("e3", Scale::Quick).expect("e3 is a known probe");
     let decoded = manytest_core::Report::decode_wire(&report.encode_wire())

@@ -5,7 +5,7 @@
 //! iteration order — and therefore any event stream, JSON dump or golden
 //! count derived from it — varies run to run. Every keyed container in
 //! the simulation crates (and in `bench`, whose test fixtures and
-//! `BENCH_repro.json` writer feed the golden gates) must be a `BTreeMap`
+//! `BENCH_kernels.json` writer feed the golden gates) must be a `BTreeMap`
 //! / `BTreeSet` or an index-keyed `Vec`. The rule deliberately covers
 //! test code too: golden regeneration runs through it.
 

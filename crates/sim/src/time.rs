@@ -47,6 +47,15 @@ pub struct Duration(u64);
 )]
 pub struct Epoch(pub u64);
 
+/// `value * per` nanoseconds, checked so that debug and release builds
+/// both reject a horizon past `u64::MAX` ns instead of wrapping it.
+const fn to_ns(value: u64, per: u64, overflow: &str) -> u64 {
+    match value.checked_mul(per) {
+        Some(ns) => ns,
+        None => panic!("{}", overflow),
+    }
+}
+
 impl SimTime {
     /// The simulation origin (t = 0).
     pub const ZERO: SimTime = SimTime(0);
@@ -58,19 +67,19 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Creates a time from microseconds.
+    /// Creates a time from microseconds; panics past `u64::MAX` ns.
     pub const fn from_us(us: u64) -> Self {
-        SimTime(us * 1_000)
+        SimTime(to_ns(us, 1_000, "SimTime::from_us overflows"))
     }
 
-    /// Creates a time from milliseconds.
+    /// Creates a time from milliseconds; panics past `u64::MAX` ns.
     pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
+        SimTime(to_ns(ms, 1_000_000, "SimTime::from_ms overflows"))
     }
 
-    /// Creates a time from whole seconds.
+    /// Creates a time from whole seconds; panics past `u64::MAX` ns.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
+        SimTime(to_ns(s, 1_000_000_000, "SimTime::from_secs overflows"))
     }
 
     /// Raw nanosecond count.
@@ -110,19 +119,19 @@ impl Duration {
         Duration(ns)
     }
 
-    /// Creates a duration from microseconds.
+    /// Creates a duration from microseconds; panics past `u64::MAX` ns.
     pub const fn from_us(us: u64) -> Self {
-        Duration(us * 1_000)
+        Duration(to_ns(us, 1_000, "Duration::from_us overflows"))
     }
 
-    /// Creates a duration from milliseconds.
+    /// Creates a duration from milliseconds; panics past `u64::MAX` ns.
     pub const fn from_ms(ms: u64) -> Self {
-        Duration(ms * 1_000_000)
+        Duration(to_ns(ms, 1_000_000, "Duration::from_ms overflows"))
     }
 
-    /// Creates a duration from whole seconds.
+    /// Creates a duration from whole seconds; panics past `u64::MAX` ns.
     pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000_000)
+        Duration(to_ns(s, 1_000_000_000, "Duration::from_secs overflows"))
     }
 
     /// Creates a duration from floating point seconds, rounding to the
@@ -298,6 +307,60 @@ mod tests {
         assert_eq!(Duration::from_us(2).as_ns(), 2_000);
         assert_eq!(Duration::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(Duration::from_secs(2).as_ns(), 2_000_000_000);
+    }
+
+    /// A unit constructor's name, the constructor as nanoseconds, and its
+    /// nanoseconds per unit.
+    type Constructor = (&'static str, fn(u64) -> u64, u64);
+
+    fn unit_constructors() -> [Constructor; 6] {
+        [
+            ("SimTime::from_us", |v| SimTime::from_us(v).as_ns(), 1_000),
+            (
+                "SimTime::from_ms",
+                |v| SimTime::from_ms(v).as_ns(),
+                1_000_000,
+            ),
+            (
+                "SimTime::from_secs",
+                |v| SimTime::from_secs(v).as_ns(),
+                1_000_000_000,
+            ),
+            ("Duration::from_us", |v| Duration::from_us(v).as_ns(), 1_000),
+            (
+                "Duration::from_ms",
+                |v| Duration::from_ms(v).as_ns(),
+                1_000_000,
+            ),
+            (
+                "Duration::from_secs",
+                |v| Duration::from_secs(v).as_ns(),
+                1_000_000_000,
+            ),
+        ]
+    }
+
+    #[test]
+    fn constructors_accept_the_largest_representable_value() {
+        for (name, make, per) in unit_constructors() {
+            let limit = u64::MAX / per;
+            assert_eq!(make(limit), limit * per, "{name}");
+        }
+    }
+
+    #[test]
+    fn constructors_panic_one_past_the_largest_representable_value() {
+        for (name, make, per) in unit_constructors() {
+            let panic = std::panic::catch_unwind(|| make(u64::MAX / per + 1))
+                .expect_err("an overflowing horizon must not wrap");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                message.starts_with(name),
+                "{name} panicked with '{message}'"
+            );
+        }
     }
 
     #[test]
